@@ -1,449 +1,263 @@
 """Hot enumeration kernels shared by the oracles, the canonical-form code and
 the integer-program search.
 
-Every kernel is written as a plain array-based function so the same source
-runs both ways: when numba is importable and ``VIFORGE_NUMBA`` is not set to
-``0``/``false``/``off``/``no``, the functions are compiled with ``@njit``;
-otherwise the pure-Python versions are used unchanged.  The pure versions stay
-reachable under a ``_py`` suffix so the benchmark can time both paths.
+Every kernel works on Python lists and ints, so arithmetic never wraps.
+Orderings are drawn lazily from ``itertools.permutations``, in lexicographic
+order, and a scan keeps the first ordering that attains its optimum.
 """
 
-import itertools
-import os
-
-import numpy as np
+from itertools import permutations
 
 
-def numba_requested() -> bool:
-    value = os.environ.get("VIFORGE_NUMBA", "1").strip().lower()
-    return value not in {"0", "false", "off", "no"}
-
-
-def _identity_jit(fn):
-    return fn
-
-
-USING_NUMBA = False
-_jit = _identity_jit
-if numba_requested():
-    try:
-        from numba import njit as _numba_njit
-
-        def _jit(fn):
-            return _numba_njit(cache=True)(fn)
-
-        USING_NUMBA = True
-    except ImportError:  # numba missing: silently fall back
-        pass
-
-
-_PERM_TABLES: dict[int, np.ndarray] = {}
-
-
-def perm_table(m: int) -> np.ndarray:
-    """All permutations of range(m) in lexicographic order, one per row."""
-    if m not in _PERM_TABLES:
-        if m == 0:
-            table = np.zeros((1, 0), dtype=np.int64)
-        else:
-            table = np.array(list(itertools.permutations(range(m))), dtype=np.int64)
-        _PERM_TABLES[m] = table
-    return _PERM_TABLES[m]
-
-
-def min_anchored_code(adj, attrs, n_anchor, perms):
+def min_anchored_code(adj, attrs, n_anchor):
     """Lexicographically minimal row-major code of ``adj`` with the first
-    ``n_anchor`` rows pinned and the remaining rows permuted by ``perms``.
+    ``n_anchor`` rows pinned and the remaining rows permuted.
 
     ``attrs`` (one int per vertex) is appended after the matrix cells so the
     comparison covers attribute vectors as well.  Returns the winning code as
-    an int64 vector of length s*s + s.
+    a list of length s*s + s.
     """
-    s = adj.shape[0]
-    m = s - n_anchor
-    total = s * s + s
-    order = np.empty(s, dtype=np.int64)
-    for i in range(n_anchor):
-        order[i] = i
-    best = np.empty(total, dtype=np.int64)
-    cand = np.empty(total, dtype=np.int64)
-    have = False
-    for pi in range(perms.shape[0]):
-        for j in range(m):
-            order[n_anchor + j] = n_anchor + perms[pi, j]
-        k = 0
-        for i in range(s):
-            oi = order[i]
-            for j in range(s):
-                cand[k] = adj[oi, order[j]]
-                k += 1
-        for i in range(s):
-            cand[k] = attrs[order[i]]
-            k += 1
-        if not have:
-            for t in range(total):
-                best[t] = cand[t]
-            have = True
-        else:
-            for t in range(total):
-                if cand[t] < best[t]:
-                    for q in range(total):
-                        best[q] = cand[q]
-                    break
-                if cand[t] > best[t]:
-                    break
+    s = len(adj)
+    anchors = tuple(range(n_anchor))
+    best = None
+    for perm in permutations(range(n_anchor, s)):
+        order = anchors + perm
+        cand = [adj[i][j] for i in order for j in order]
+        cand += [attrs[i] for i in order]
+        if best is None or cand < best:
+            best = cand
     return best
 
 
-def imbalance_scan(adj, perms):
-    """Minimum total imbalance over the given vertex orderings.
+def imbalance_scan(adj):
+    """Minimum total imbalance over all vertex orderings, by a subset DP.
 
-    Returns (best value, index of the first ordering attaining it).
+    ``adj`` lists each vertex's neighbours.  A vertex's imbalance depends
+    only on the set placed before it, so ``rest[S]`` is the least cost of
+    ordering the vertices outside S after S.  Walking forward from the
+    empty set and taking the smallest vertex that keeps the optimum gives
+    the lexicographically first optimal ordering.  Returns (value, order).
     """
-    n = adj.shape[0]
-    deg = np.zeros(n, dtype=np.int64)
-    for u in range(n):
-        for v in range(n):
-            if adj[u, v]:
-                deg[u] += 1
-    best = np.int64(1) << 60
-    best_idx = np.int64(-1)
-    for pi in range(perms.shape[0]):
-        tot = np.int64(0)
-        for i in range(n):
-            u = perms[pi, i]
-            left = 0
-            for j in range(i):
-                if adj[u, perms[pi, j]]:
-                    left += 1
-            d = deg[u] - 2 * left
-            if d < 0:
-                d = -d
-            tot += d
-            if tot >= best:
+    n = len(adj)
+    full = (1 << n) - 1
+    deg = [len(nb) for nb in adj]
+    nbr = [sum(1 << w for w in nb) for nb in adj]
+
+    def cost(u, placed):
+        return abs(deg[u] - 2 * (nbr[u] & placed).bit_count())
+
+    rest = [0] * (full + 1)
+    for placed in range(full - 1, -1, -1):
+        rest[placed] = min(cost(u, placed) + rest[placed | 1 << u]
+                           for u in range(n) if not placed >> u & 1)
+    order = []
+    placed = 0
+    while placed != full:
+        for u in range(n):
+            if not placed >> u & 1 and cost(u, placed) + rest[placed | 1 << u] == rest[placed]:
+                order.append(u)
+                placed |= 1 << u
                 break
-        if tot < best:
-            best = tot
-            best_idx = pi
-    return best, best_idx
+    return rest[0], order
 
 
-def bandwidth_scan(eu, ev, n, perms):
-    """Minimum bandwidth (max edge stretch) over the given orderings."""
-    m = eu.shape[0]
-    ipos = np.zeros(n, dtype=np.int64)
-    best = np.int64(1) << 60
-    best_idx = np.int64(-1)
-    for pi in range(perms.shape[0]):
-        for i in range(n):
-            ipos[perms[pi, i]] = i
-        width = np.int64(0)
-        for e in range(m):
-            d = ipos[eu[e]] - ipos[ev[e]]
-            if d < 0:
-                d = -d
+def bandwidth_scan(edges, n):
+    """Minimum bandwidth (max edge stretch) over all orderings of n
+    vertices.  Returns (value, first optimal ordering)."""
+    best = None
+    best_order = None
+    pos = [0] * n
+    for perm in permutations(range(n)):
+        for i, v in enumerate(perm):
+            pos[v] = i
+        width = 0
+        for (u, v) in edges:
+            d = abs(pos[u] - pos[v])
             if d > width:
                 width = d
-                if width >= best:
+                if best is not None and width >= best:
                     break
-        if width < best:
+        if best is None or width < best:
             best = width
-            best_idx = pi
-    return best, best_idx
+            best_order = list(perm)
+    return best, best_order
 
 
-def mcs_scan(e1u, e1v, adj2, n1, perms2):
-    """Maximum number of g1-edges mapped onto g2-edges over all injections.
-
-    Injections are read off the first n1 entries of each permutation of
-    V(g2); requires n1 <= n2.  Returns (best, index of first witness).
-    """
-    m1 = e1u.shape[0]
-    best = np.int64(-1)
-    best_idx = np.int64(-1)
-    for pi in range(perms2.shape[0]):
-        hit = np.int64(0)
-        for e in range(m1):
-            if adj2[perms2[pi, e1u[e]], perms2[pi, e1v[e]]]:
-                hit += 1
+def mcs_scan(edges1, adj2, n1):
+    """Maximum number of g1-edges mapped onto g2-edges over all injections
+    of n1 vertices into V(g2), in lexicographic order; requires
+    n1 <= len(adj2).  Returns (best, first witness injection)."""
+    best = -1
+    best_inj = None
+    for inj in permutations(range(len(adj2)), n1):
+        hit = 0
+        for (u, v) in edges1:
+            hit += adj2[inj[u]][inj[v]]
         if hit > best:
             best = hit
-            best_idx = pi
-    return best, best_idx
+            best_inj = list(inj)
+            if hit == len(edges1):
+                break
+    return best, best_inj
 
 
 def mcis_scan(adj1, adj2):
     """Largest common induced subgraph via depth-first search over partial
     injections with a skip option per vertex.
 
-    Returns (best size, mapping array: image vertex or -1 per g1-vertex).
+    Each g1-vertex tries every free g2-vertex in turn, then being skipped.
+    Returns (best size, mapping list: image vertex or -1 per g1-vertex).
     """
-    n1 = adj1.shape[0]
-    n2 = adj2.shape[0]
-    used = np.zeros(n2, dtype=np.uint8)
-    applied = np.full(n1, -2, dtype=np.int64)
-    next_c = np.zeros(n1, dtype=np.int64)
-    best = np.int64(-1)
-    best_map = np.full(n1, -1, dtype=np.int64)
-    mapped = np.int64(0)
-    pos = 0
-    next_c[0] = 0
-    while pos >= 0:
-        if applied[pos] >= 0:
-            used[applied[pos]] = 0
-            mapped -= 1
-            applied[pos] = -2
-        elif applied[pos] == -1:
-            applied[pos] = -2
-        if mapped + (n1 - pos) <= best:
-            pos -= 1
-            continue
-        c = next_c[pos]
-        if c > n2:
-            pos -= 1
-            continue
-        next_c[pos] = c + 1
-        if c < n2:
-            if used[c]:
-                continue
-            ok = True
-            for v in range(pos):
-                img = applied[v]
-                if img >= 0 and adj1[pos, v] != adj2[c, img]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            applied[pos] = c
-            used[c] = 1
-            mapped += 1
-        else:
-            applied[pos] = -1
-        if pos == n1 - 1:
-            if mapped > best:
-                best = mapped
-                for v in range(n1):
-                    best_map[v] = applied[v] if applied[v] >= 0 else -1
-        else:
-            pos += 1
-            next_c[pos] = 0
+    n1 = len(adj1)
+    n2 = len(adj2)
+    used = [False] * n2
+    applied = [-1] * n1
+    best = -1
+    best_map = [-1] * n1
+
+    def go(pos, mapped):
+        nonlocal best, best_map
+        for c in range(n2 + 1):
+            if mapped + (n1 - pos) <= best:
+                return
+            if c < n2:
+                if used[c]:
+                    continue
+                row1, row2 = adj1[pos], adj2[c]
+                if any(applied[v] >= 0 and row1[v] != row2[applied[v]] for v in range(pos)):
+                    continue
+                applied[pos] = c
+                used[c] = True
+                now = mapped + 1
+            else:
+                now = mapped
+            if pos == n1 - 1:
+                if now > best:
+                    best = now
+                    best_map = list(applied)
+            else:
+                go(pos + 1, now)
+            if c < n2:
+                used[c] = False
+                applied[pos] = -1
+
+    go(0, 0)
     return best, best_map
 
 
-def orient_scan(eu, ev, w, n, r):
+def orient_scan(edges, w, n, r):
     """Complete search for an orientation with all weighted outdegrees <= r.
 
     Edges are explored in the order given; per edge the u->v direction is
     tried first.  A branch dies when some endpoint would exceed r or some
     later edge is no longer placeable either way.  Returns (found flag,
-    orientation array: 1 means eu->ev, 0 means ev->eu).
+    orientation list: 1 means u->v, 0 means v->u).
     """
-    m = eu.shape[0]
-    load = np.zeros(n, dtype=np.int64)
-    applied = np.full(m, -2, dtype=np.int64)
-    next_c = np.zeros(m, dtype=np.int64)
-    result = np.zeros(m, dtype=np.uint8)
+    m = len(edges)
     if m == 0:
-        return True, result
+        return True, []
+    load = [0] * n
+    applied = [-1] * m
+    next_c = [0] * m
     pos = 0
     while pos >= 0:
-        if applied[pos] == 1:
-            load[eu[pos]] -= w[pos]
-            applied[pos] = -2
-        elif applied[pos] == 0:
-            load[ev[pos]] -= w[pos]
-            applied[pos] = -2
+        u, v = edges[pos]
+        if applied[pos] >= 0:
+            load[u if applied[pos] else v] -= w[pos]
+            applied[pos] = -1
         c = next_c[pos]
         if c >= 2:
             pos -= 1
             continue
         next_c[pos] = c + 1
-        if c == 0:
-            if load[eu[pos]] + w[pos] > r:
-                continue
-            load[eu[pos]] += w[pos]
-            applied[pos] = 1
-        else:
-            if load[ev[pos]] + w[pos] > r:
-                continue
-            load[ev[pos]] += w[pos]
-            applied[pos] = 0
-        dead = False
-        for q in range(pos + 1, m):
-            if load[eu[q]] + w[q] > r and load[ev[q]] + w[q] > r:
-                dead = True
-                break
-        if dead:
+        tail = u if c == 0 else v
+        if load[tail] + w[pos] > r:
+            continue
+        load[tail] += w[pos]
+        applied[pos] = 1 - c
+        if any(load[a] + w[q] > r and load[b] + w[q] > r
+               for q, (a, b) in enumerate(edges[pos + 1:], pos + 1)):
             continue
         if pos == m - 1:
-            for e in range(m):
-                result[e] = 1 if applied[e] == 1 else 0
-            return True, result
+            return True, applied
         pos += 1
         next_c[pos] = 0
-    return False, result
+    return False, [0] * m
 
 
-def ilp_scan(A, b, lo0, hi0, c, find_opt, desc):
+def _propagate(rows, b, lo, hi):
+    """Tighten the box lo..hi against the rows to a fixpoint, in place.
+
+    Returns False when some row cannot hold anywhere in the box.  A row
+    that holds at its minimum over the box (slack >= 0) moves each bound
+    by at most the width of its interval, so no interval ever empties.
+    """
+    changed = True
+    while changed:
+        changed = False
+        for row, bi in zip(rows, b):
+            mn = 0
+            for j, a in row:
+                mn += a * (lo[j] if a > 0 else hi[j])
+            slack = bi - mn
+            if slack < 0:
+                return False
+            # a bound moves only when |a| times its interval's width
+            # exceeds the slack
+            for j, a in row:
+                if a > 0:
+                    if a * (hi[j] - lo[j]) > slack:
+                        hi[j] = lo[j] + slack // a
+                        changed = True
+                elif -a * (hi[j] - lo[j]) > slack:
+                    lo[j] = hi[j] - slack // -a
+                    changed = True
+    return True
+
+
+def ilp_scan(rows, b, lo, hi, c, find_opt, desc):
     """Depth-first branch and bound over an integer box with interval
     propagation against rows A x <= b.
 
-    Variables branch in index order, values ascend unless ``desc`` flags the
-    variable.  With ``find_opt`` the first optimum of c.x (minimisation) in
-    search order is kept; otherwise the first feasible point is returned.
-    Returns (found flag, point, value).
+    ``rows`` holds each row of A sparsely as (j, a) pairs with a != 0, in
+    ascending j.  Variables branch in index order, values ascend unless
+    ``desc`` flags the variable.  With ``find_opt`` the first optimum of
+    c.x (minimisation) in search order is kept; otherwise the first
+    feasible point is returned.  Returns (point, value), or None.  The
+    box lo..hi must be non-empty.
     """
-    m = A.shape[0]
-    p = A.shape[1]
-    lo_s = np.zeros((p + 2, p), dtype=np.int64)
-    hi_s = np.zeros((p + 2, p), dtype=np.int64)
-    bv = np.zeros(p + 2, dtype=np.int64)
-    nv = np.zeros(p + 2, dtype=np.int64)
-    for j in range(p):
-        lo_s[0, j] = lo0[j]
-        hi_s[0, j] = hi0[j]
-    best_x = np.zeros(p, dtype=np.int64)
-    best_val = np.int64(0)
-    have_best = False
-    d = 0
-    fresh = True
-    while d >= 0:
-        if fresh:
-            fresh = False
-            # interval propagation to a fixpoint on this node's box
-            feasible = True
-            for j in range(p):
-                if lo_s[d, j] > hi_s[d, j]:
-                    feasible = False
-                    break
-            changed = feasible
-            while changed and feasible:
-                changed = False
-                for i in range(m):
-                    mn = np.int64(0)
-                    for j in range(p):
-                        a = A[i, j]
-                        if a > 0:
-                            mn += a * lo_s[d, j]
-                        elif a < 0:
-                            mn += a * hi_s[d, j]
-                    if mn > b[i]:
-                        feasible = False
-                        break
-                    for j in range(p):
-                        a = A[i, j]
-                        if a == 0:
-                            continue
-                        if a > 0:
-                            rest = mn - a * lo_s[d, j]
-                            nb = (b[i] - rest) // a
-                            if nb < hi_s[d, j]:
-                                hi_s[d, j] = nb
-                                changed = True
-                        else:
-                            rest = mn - a * hi_s[d, j]
-                            t = b[i] - rest
-                            nb = -((-t) // a)
-                            if nb > lo_s[d, j]:
-                                lo_s[d, j] = nb
-                                changed = True
-                        if lo_s[d, j] > hi_s[d, j]:
-                            feasible = False
-                            break
-                    if not feasible:
-                        break
-            if not feasible:
-                d -= 1
-                continue
-            if have_best:
-                bound = np.int64(0)
-                for j in range(p):
-                    if c[j] > 0:
-                        bound += c[j] * lo_s[d, j]
-                    elif c[j] < 0:
-                        bound += c[j] * hi_s[d, j]
-                if bound >= best_val:
-                    d -= 1
-                    continue
-            j_branch = -1
-            for j in range(p):
-                if lo_s[d, j] < hi_s[d, j]:
-                    j_branch = j
-                    break
-            if j_branch < 0:
-                val = np.int64(0)
-                for j in range(p):
-                    val += c[j] * lo_s[d, j]
-                if (not have_best) or val < best_val:
-                    have_best = True
-                    best_val = val
-                    for j in range(p):
-                        best_x[j] = lo_s[d, j]
-                if not find_opt:
-                    return True, best_x, best_val
-                d -= 1
-                continue
-            bv[d] = j_branch
-            nv[d] = 0
-        else:
-            j = bv[d]
-            span = hi_s[d, j] - lo_s[d, j]
-            k = nv[d]
-            if k > span:
-                d -= 1
-                continue
-            nv[d] = k + 1
-            if desc[j]:
-                v = hi_s[d, j] - k
-            else:
-                v = lo_s[d, j] + k
-            for q in range(p):
-                lo_s[d + 1, q] = lo_s[d, q]
-                hi_s[d + 1, q] = hi_s[d, q]
-            lo_s[d + 1, j] = v
-            hi_s[d + 1, j] = v
-            d += 1
-            fresh = True
-    return have_best, best_x, best_val
-
-
-# Pure-Python handles for the benchmark, then the active (possibly jitted)
-# bindings used by the rest of the package.
-min_anchored_code_py = min_anchored_code
-imbalance_scan_py = imbalance_scan
-bandwidth_scan_py = bandwidth_scan
-mcs_scan_py = mcs_scan
-mcis_scan_py = mcis_scan
-orient_scan_py = orient_scan
-ilp_scan_py = ilp_scan
-
-if USING_NUMBA:
-    min_anchored_code = _jit(min_anchored_code)
-    imbalance_scan = _jit(imbalance_scan)
-    bandwidth_scan = _jit(bandwidth_scan)
-    mcs_scan = _jit(mcs_scan)
-    mcis_scan = _jit(mcis_scan)
-    orient_scan = _jit(orient_scan)
-    ilp_scan = _jit(ilp_scan)
-
-
-def warmup():
-    """Trigger jit compilation on tiny inputs so first real calls are fast."""
-    adj = np.zeros((2, 2), dtype=np.uint8)
-    attrs = np.zeros(2, dtype=np.int64)
-    min_anchored_code(adj, attrs, 1, perm_table(1))
-    imbalance_scan(adj, perm_table(2))
-    e = np.zeros(0, dtype=np.int64)
-    bandwidth_scan(e, e, 2, perm_table(2))
-    mcs_scan(e, e, adj, 1, perm_table(2))
-    mcis_scan(adj, adj)
-    orient_scan(e, e, e, 2, 1)
-    ilp_scan(
-        np.zeros((1, 1), dtype=np.int64),
-        np.zeros(1, dtype=np.int64),
-        np.zeros(1, dtype=np.int64),
-        np.ones(1, dtype=np.int64),
-        np.zeros(1, dtype=np.int64),
-        True,
-        np.zeros(1, dtype=np.uint8),
-    )
+    cost = [(j, cj) for j, cj in enumerate(c) if cj]
+    p = len(lo)
+    best = None
+    best_val = 0
+    stack = []
+    node = (list(lo), list(hi))
+    while True:
+        if node is not None:
+            lo, hi = node
+            node = None
+            if _propagate(rows, b, lo, hi):
+                bound = 0
+                for j, cj in cost:
+                    bound += cj * (lo[j] if cj > 0 else hi[j])
+                if best is None or bound < best_val:
+                    j = next((j for j in range(p) if lo[j] < hi[j]), -1)
+                    if j < 0:
+                        best, best_val = tuple(lo), bound
+                        if not find_opt:
+                            return best, best_val
+                    else:
+                        stack.append([lo, hi, j, 0])
+        if not stack:
+            break
+        frame = stack[-1]
+        lo, hi, j, k = frame
+        if k > hi[j] - lo[j]:
+            stack.pop()
+            continue
+        frame[3] = k + 1
+        v = hi[j] - k if desc[j] else lo[j] + k
+        nlo, nhi = list(lo), list(hi)
+        nlo[j] = nhi[j] = v
+        node = (nlo, nhi)
+    return None if best is None else (best, best_val)

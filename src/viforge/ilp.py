@@ -12,8 +12,6 @@ that canonical search order.
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from ._kernels import ilp_scan
 
 RELATIONS = ("<=", ">=", "==")
@@ -84,24 +82,17 @@ def _run(inst: IlpInstance, minimise_coeffs, find_opt: bool):
         if any(0 > rhs for (_, rhs) in rows):
             return None
         return (), 0
-    A = np.zeros((len(rows), p), dtype=np.int64)
-    b = np.zeros(len(rows), dtype=np.int64)
-    for i, (coeffs, rhs) in enumerate(rows):
-        A[i, :] = coeffs
-        b[i] = rhs
-    lo = np.array([a for (a, _) in inst.bounds], dtype=np.int64)
-    hi = np.array([bnd for (_, bnd) in inst.bounds], dtype=np.int64)
-    c = np.array(minimise_coeffs, dtype=np.int64)
-    desc = np.zeros(p, dtype=np.uint8)
+    sparse = [[(j, a) for j, a in enumerate(coeffs) if a] for (coeffs, _) in rows]
+    b = [rhs for (_, rhs) in rows]
+    lo = [a for (a, _) in inst.bounds]
+    hi = [bnd for (_, bnd) in inst.bounds]
+    desc = [False] * p
     if inst.objective is not None and inst.objective[1] == "max":
         for j, cj in enumerate(inst.objective[0]):
             if cj != 0:
-                desc[j] = 1
+                desc[j] = True
                 break
-    found, x, val = ilp_scan(A, b, lo, hi, c, find_opt, desc)
-    if not found:
-        return None
-    return tuple(int(v) for v in x), int(val)
+    return ilp_scan(sparse, b, lo, hi, minimise_coeffs, find_opt, desc)
 
 
 def feasible(inst: IlpInstance) -> Optional[tuple]:

@@ -1,8 +1,9 @@
 """Brute-force reference oracles and certificate verifiers.
 
 Every oracle answers by exhaustive enumeration (orderings, injections,
-subsets, orientations, partitions) within an explicit budget, refusing
-loudly when an instance is too large.  None of this code is shared with the
+subsets, orientations, partitions), or for imbalance by a dynamic program
+over vertex subsets, within an explicit budget, refusing loudly when an
+instance is too large.  None of this code is shared with the
 solver implementations; only the graph container and its component splitting
 are reused.  Verifiers are pure definition checks over certificates.
 """
@@ -12,9 +13,7 @@ import os
 from dataclasses import dataclass, replace
 from itertools import combinations
 
-import numpy as np
-
-from ._kernels import bandwidth_scan, imbalance_scan, mcis_scan, mcs_scan, orient_scan, perm_table
+from ._kernels import bandwidth_scan, imbalance_scan, mcis_scan, mcs_scan, orient_scan
 from .graphs import Graph, components, edge_key, is_connected_subset
 
 
@@ -64,19 +63,11 @@ def _check_graph(g: Graph, budget: OracleBudget, orderings=False):
               f"{g.n}! orderings > {budget.max_orderings}")
 
 
-def _adj_array(g: Graph) -> np.ndarray:
-    adj = np.zeros((g.n, g.n), dtype=np.uint8)
+def _adj_matrix(g: Graph) -> list:
+    adj = [[0] * g.n for _ in range(g.n)]
     for (u, v) in g.edges:
-        adj[u, v] = 1
-        adj[v, u] = 1
+        adj[u][v] = adj[v][u] = 1
     return adj
-
-
-def _edge_arrays(g: Graph):
-    es = sorted(g.edges)
-    eu = np.array([e[0] for e in es], dtype=np.int64)
-    ev = np.array([e[1] for e in es], dtype=np.int64)
-    return es, eu, ev
 
 
 def _subsets_by_size(items):
@@ -163,22 +154,19 @@ def oracle_vertex_cover(g: Graph, budget=None):
 # ------------------------------------------------------------ ordering costs
 
 def oracle_imbalance(g: Graph, budget=None):
-    """(minimum total imbalance, first optimal ordering)."""
+    """(minimum total imbalance, lexicographically first optimal ordering).
+    The ordering budget still applies, so the oracle refuses what a scan
+    of all orderings would refuse."""
     budget = _resolve(budget)
     _check_graph(g, budget, orderings=True)
-    perms = perm_table(g.n)
-    val, idx = imbalance_scan(_adj_array(g), perms)
-    return int(val), [int(x) for x in perms[int(idx)]]
+    return imbalance_scan(g.adjacency())
 
 
 def oracle_bandwidth(g: Graph, budget=None):
     """(minimum bandwidth, first optimal ordering)."""
     budget = _resolve(budget)
     _check_graph(g, budget, orderings=True)
-    perms = perm_table(g.n)
-    _, eu, ev = _edge_arrays(g)
-    val, idx = bandwidth_scan(eu, ev, g.n, perms)
-    return int(val), [int(x) for x in perms[int(idx)]]
+    return bandwidth_scan(sorted(g.edges), g.n)
 
 
 # --------------------------------------------------------- common subgraphs
@@ -193,12 +181,9 @@ def oracle_mcs(g1: Graph, g2: Graph, budget=None):
     a, b = (g2, g1) if swap else (g1, g2)
     if a.n == 0:
         return 0, {}
-    _, eu, ev = _edge_arrays(a)
-    perms = perm_table(b.n)
-    val, idx = mcs_scan(eu, ev, _adj_array(b), a.n, perms)
-    inj = {u: int(perms[int(idx)][u]) for u in range(a.n)}
-    mapping = {x: u for u, x in inj.items()} if swap else inj
-    return int(val), mapping
+    val, inj = mcs_scan(sorted(a.edges), _adj_matrix(b), a.n)
+    mapping = {x: u for u, x in enumerate(inj)} if swap else dict(enumerate(inj))
+    return val, mapping
 
 
 def oracle_mcis(g1: Graph, g2: Graph, budget=None):
@@ -211,10 +196,10 @@ def oracle_mcis(g1: Graph, g2: Graph, budget=None):
     a, b = (g2, g1) if swap else (g1, g2)
     if a.n == 0:
         return 0, {}
-    val, arr = mcis_scan(_adj_array(a), _adj_array(b))
-    inj = {u: int(arr[u]) for u in range(a.n) if arr[u] >= 0}
+    val, arr = mcis_scan(_adj_matrix(a), _adj_matrix(b))
+    inj = {u: x for u, x in enumerate(arr) if x >= 0}
     mapping = {x: u for u, x in inj.items()} if swap else inj
-    return int(val), mapping
+    return val, mapping
 
 
 # ------------------------------------------------------- capacitated covers
@@ -474,10 +459,7 @@ def oracle_mmoo(g: Graph, r: int, budget=None):
         raise ValueError("mmoo needs edge weights")
     _need(g.m <= max(budget.max_edges, 0), f"{g.m} edges > {budget.max_edges}")
     es = sorted(g.edges, key=lambda e: (-g.weights[e], e))
-    eu = np.array([e[0] for e in es], dtype=np.int64)
-    ev = np.array([e[1] for e in es], dtype=np.int64)
-    w = np.array([g.weights[e] for e in es], dtype=np.int64)
-    found, orient = orient_scan(eu, ev, w, g.n, r)
+    found, orient = orient_scan(es, [g.weights[e] for e in es], g.n, r)
     if not found:
         return None
     out = {}

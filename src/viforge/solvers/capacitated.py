@@ -134,6 +134,7 @@ def cvc_vi(g):
     _, vis = vertex_integrity(g)
     s_list = sorted(vis.separator)
     s_edges = sorted(e for e in g.edges if e[0] in set(s_list) and e[1] in set(s_list))
+    groups = classify_detailed(g, s_list, mode="capacity")
 
     best = None
     for x_size in range(len(s_list) + 1):
@@ -153,7 +154,7 @@ def cvc_vi(g):
                 if any(load0[v] > g.capacities[v] for v in x_s):
                     continue
                 res = {v: g.capacities[v] - load0[v] for v in x_s}
-                got = _cvc_solve_guess(g, s_list, x_s, res, sig_cache)
+                got = _cvc_solve_guess(g, s_list, groups, x_s, res, sig_cache)
                 if got is None:
                     continue
                 inner, cover_c, assign_c = got
@@ -167,8 +168,7 @@ def cvc_vi(g):
     return best
 
 
-def _cvc_solve_guess(g, s_list, x_s, res, sig_cache):
-    groups = classify_detailed(g, s_list, mode="capacity")
+def _cvc_solve_guess(g, s_list, groups, x_s, res, sig_cache):
     per_group = []
     for t, comps in groups:
         if t.code not in sig_cache:
@@ -321,6 +321,7 @@ def cds_vi(g):
 
     _, vis = vertex_integrity(g)
     s_list = sorted(vis.separator)
+    groups = classify_detailed(g, s_list, mode="capacity")
 
     best = None
     for roles in product(range(3), repeat=len(s_list)):
@@ -342,7 +343,7 @@ def cds_vi(g):
             if not ok:
                 continue
             res = {u: g.capacities[u] - load0[u] for u in d_s}
-            got = _cds_solve_guess(g, s_list, d_s, b_s, res, sig_cache)
+            got = _cds_solve_guess(g, s_list, groups, d_s, b_s, res, sig_cache)
             if got is None:
                 continue
             inner, d_comp, fmap_comp = got
@@ -354,8 +355,7 @@ def cds_vi(g):
     return best
 
 
-def _cds_solve_guess(g, s_list, d_s, b_s, res, sig_cache):
-    groups = classify_detailed(g, s_list, mode="capacity")
+def _cds_solve_guess(g, s_list, groups, d_s, b_s, res, sig_cache):
     per_group = []
     for t, comps in groups:
         if t.code not in sig_cache:

@@ -15,12 +15,11 @@ collide, and anchor-anchor cells are excluded (a piece owns only its own
 edges).
 """
 
+from array import array
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
-from ._kernels import min_anchored_code, perm_table
+from ._kernels import min_anchored_code
 from .graphs import Graph, components, edge_key
 
 MODES = ("plain", "capacity", "color")
@@ -50,41 +49,36 @@ class PieceType:
 
 
 def _attr_vector(g: Graph, order, mode):
-    attrs = np.zeros(len(order), dtype=np.int64)
     if mode == "capacity":
         if g.capacities is None:
             raise ValueError("capacity mode needs capacities")
-        for i, v in enumerate(order):
-            attrs[i] = g.capacities[v]
-    elif mode == "color":
+        return [g.capacities[v] for v in order]
+    if mode == "color":
         if g.colors is None:
             raise ValueError("color mode needs colors")
-        for i, v in enumerate(order):
-            attrs[i] = g.colors[v]
-    elif mode != "plain":
+        return [g.colors[v] for v in order]
+    if mode != "plain":
         raise ValueError(f"unknown mode {mode!r}")
-    return attrs
+    return [0] * len(order)
 
 
-def _adj_matrix(g: Graph, order, edges=None) -> np.ndarray:
+def _adj_matrix(order, edges) -> list:
+    """0/1 adjacency matrix over ``order`` of the ``edges`` inside it."""
     idx = {v: i for i, v in enumerate(order)}
     s = len(order)
-    adj = np.zeros((s, s), dtype=np.uint8)
-    if edges is None:
-        pool = (e for e in g.edges if e[0] in idx and e[1] in idx)
-    else:
-        pool = edges
-    for (u, v) in pool:
-        adj[idx[u], idx[v]] = 1
-        adj[idx[v], idx[u]] = 1
+    adj = [[0] * s for _ in range(s)]
+    for (u, v) in edges:
+        i = idx.get(u)
+        j = idx.get(v)
+        if i is not None and j is not None:
+            adj[i][j] = adj[j][i] = 1
     return adj
 
 
 def _canon_code(adj, attrs, n_anchor) -> bytes:
-    free = adj.shape[0] - n_anchor
-    arr = min_anchored_code(adj, attrs, n_anchor, perm_table(free))
+    free = len(adj) - n_anchor
     head = bytes([n_anchor & 0xFF, free & 0xFF])
-    return head + np.asarray(arr, dtype=np.int64).tobytes()
+    return head + array("q", min_anchored_code(adj, attrs, n_anchor)).tobytes()
 
 
 def _check_anchor_list(g: Graph, s_ordered):
@@ -97,15 +91,21 @@ def _check_anchor_list(g: Graph, s_ordered):
     return s_list
 
 
+def _component_type(g: Graph, s_list, comp, mode, edges) -> ComponentType:
+    """Type of the sorted component ``comp`` of g - S, unvalidated.
+    ``edges`` must hold every edge of g inside S + comp."""
+    order = s_list + comp
+    code = _canon_code(_adj_matrix(order, edges), _attr_vector(g, order, mode), len(s_list))
+    return ComponentType(code, len(s_list), len(comp))
+
+
 def type_of(g: Graph, s_ordered, c, mode="plain") -> ComponentType:
     """Canonical type of component ``c`` of g - set(s_ordered)."""
     s_list = _check_anchor_list(g, s_ordered)
     comp = sorted(c)
     if comp not in components(g, set(s_list)):
         raise ValueError("c is not a component of g minus the anchors")
-    order = s_list + comp
-    code = _canon_code(_adj_matrix(g, order), _attr_vector(g, order, mode), len(s_list))
-    return ComponentType(code, len(s_list), len(comp))
+    return _component_type(g, s_list, comp, mode, g.edges)
 
 
 def classify_detailed(g: Graph, s_ordered, mode="plain"):
@@ -115,9 +115,13 @@ def classify_detailed(g: Graph, s_ordered, mode="plain"):
     code; component lists keep the smallest-vertex order.
     """
     s_list = _check_anchor_list(g, s_ordered)
+    s_set = set(s_list)
+    adj = g.adjacency()
+    s_edges = [(u, v) for u in s_list for v in adj[u] if v in s_set]
     groups = {}
-    for comp in components(g, set(s_list)):
-        t = type_of(g, s_list, comp, mode)
+    for comp in components(g, s_set):
+        edges = s_edges + [(u, v) for u in comp for v in adj[u]]
+        t = _component_type(g, s_list, comp, mode, edges)
         groups.setdefault(t, []).append(comp)
     return sorted(groups.items(), key=lambda kv: kv[0].code)
 
@@ -139,11 +143,8 @@ def subset_pattern_code(g: Graph, s_ordered, comp, subset) -> bytes:
         raise ValueError("subset must lie inside the component")
     s_list = list(s_ordered)
     order = s_list + comp
-    attrs = np.zeros(len(order), dtype=np.int64)
-    for i, v in enumerate(order):
-        if v in subset:
-            attrs[i] = 1
-    return _canon_code(_adj_matrix(g, order), attrs, len(s_list))
+    attrs = [1 if v in subset else 0 for v in order]
+    return _canon_code(_adj_matrix(order, g.edges), attrs, len(s_list))
 
 
 def labelled_code(g: Graph, s_ordered, comp, labels: dict) -> bytes:
@@ -157,11 +158,8 @@ def labelled_code(g: Graph, s_ordered, comp, labels: dict) -> bytes:
         raise ValueError("labels must cover exactly the component")
     s_list = list(s_ordered)
     order = s_list + comp
-    attrs = np.zeros(len(order), dtype=np.int64)
-    for i, v in enumerate(order):
-        if v in labels:
-            attrs[i] = int(labels[v])
-    return _canon_code(_adj_matrix(g, order), attrs, len(s_list))
+    attrs = [int(labels[v]) if v in labels else 0 for v in order]
+    return _canon_code(_adj_matrix(order, g.edges), attrs, len(s_list))
 
 
 def _connected_via(vertices, edges) -> bool:
@@ -213,9 +211,7 @@ def g_type_of(g: Graph, r_ordered, a, b, f=None) -> PieceType:
         b_norm.add((x, r))
     order = r_list + a_sorted
     edges = set(f) | {edge_key(x, r) for (x, r) in b_norm}
-    adj = _adj_matrix(g, order, edges)
-    attrs = np.zeros(len(order), dtype=np.int64)
-    code = _canon_code(adj, attrs, len(r_list))
+    code = _canon_code(_adj_matrix(order, edges), [0] * len(order), len(r_list))
     return PieceType(code, len(r_list), len(a_sorted), len(f) + len(b_norm))
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -116,3 +117,51 @@ def test_matches_grid_enumeration(seed):
         assert point in expected[0]
         assert value == expected[1]
         assert value == sum(c * x for c, x in zip(obj[0], point))
+
+
+def test_products_past_int64_stay_exact():
+    # 4 * x exceeds 2**63 - 1 across the whole box
+    x0 = 2 ** 61
+    inst = IlpInstance(bounds=((x0, x0 + 3),), constraints=(((4,), ">=", 2 ** 63),),
+                       objective=((1,), "min"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert optimize(inst) == ((x0,), x0)
+        assert feasible(inst) == (x0,)
+
+
+def _canonical_points(inst):
+    """Box points in search order: lexicographic with ascending values,
+    except that under a max objective its first variable with a nonzero
+    coefficient descends."""
+    ranges = [range(a, b + 1) for (a, b) in inst.bounds]
+    if inst.objective is not None and inst.objective[1] == "max":
+        j = next((j for j, c in enumerate(inst.objective[0]) if c), None)
+        if j is not None:
+            ranges[j] = ranges[j][::-1]
+    return itertools.product(*ranges)
+
+
+def test_answers_are_first_in_canonical_order():
+    rng = random.Random("ilp-canonical-order")
+    for _ in range(400):
+        p = rng.randint(1, 4)
+        bounds = []
+        for _ in range(p):
+            a = rng.randint(-2, 3)
+            bounds.append((a, a + rng.randint(0, 3)))
+        cons = tuple(
+            (tuple(rng.randint(-3, 3) for _ in range(p)), rng.choice(["<=", ">=", "=="]),
+             rng.randint(-4, 8))
+            for _ in range(rng.randint(0, 3))
+        )
+        obj = (tuple(rng.randint(-2, 2) for _ in range(p)), rng.choice(["min", "max"]))
+        inst = IlpInstance(bounds=tuple(bounds), constraints=cons, objective=obj)
+        pts = [x for x in _canonical_points(inst) if _satisfies(x, cons)]
+        if not pts:
+            assert feasible(inst) is None and optimize(inst) is None
+            continue
+        assert feasible(inst) == pts[0]
+        vals = [sum(c * x for c, x in zip(obj[0], pt)) for pt in pts]
+        want = min(vals) if obj[1] == "min" else max(vals)
+        assert optimize(inst) == (pts[vals.index(want)], want)
