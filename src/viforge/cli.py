@@ -17,7 +17,7 @@ from . import oracles
 from .graphs import Graph, edge_key
 from .instances import (GraphInstance, ParseError, PartitionInstance, generate,
                         instance_sha256, parse, serialize)
-from .integrity import vi_k_set
+from .integrity import cover_at_most, vi_k_set
 from .poly import (MotifInstance, PreconditionError, SteinerInstance,
                    binary_mmoo_vc2, graph_motif_vi3, steiner_forest_xp_vc,
                    usf_solve)
@@ -82,20 +82,6 @@ def _edge_pairs(edges):
     return [[u, v] for (u, v) in sorted(edges)]
 
 
-def _vc_at_most(edges, k):
-    if not edges:
-        return []
-    if k == 0:
-        return None
-    (u, v) = min(edges)
-    for pick in (u, v):
-        rest = [e for e in edges if pick not in e]
-        sub = _vc_at_most(rest, k - 1)
-        if sub is not None:
-            return sorted(set([pick] + sub))
-    return None
-
-
 def _bounded_params(g: Graph, limit=8):
     """vi and vc when they are at most `limit` (and the graph is small
     enough to search), else None for the unknown ones."""
@@ -105,9 +91,8 @@ def _bounded_params(g: Graph, limit=8):
             if vi_k_set(g, k) is not None:
                 report["vi"] = k
                 break
-    edges = sorted(g.edges)
     for k in range(0, limit + 1):
-        got = _vc_at_most(edges, k)
+        got = cover_at_most(set(g.edges), k)
         if got is not None:
             report["vc"] = len(got)
             break

@@ -98,7 +98,9 @@ def vertex_integrity(g: Graph):
     raise AssertionError("vi(n)-set must exist")
 
 
-def _cover_branch(edges, k, adj):
+def cover_at_most(edges, k):
+    """A vertex cover of the edge set ``edges`` with at most k vertices,
+    or None: branch on the endpoints of the smallest edge."""
     if not edges:
         return set()
     if k == 0:
@@ -106,7 +108,7 @@ def _cover_branch(edges, k, adj):
     (u, v) = min(edges)
     for pick in (u, v):
         rest = {e for e in edges if pick not in e}
-        got = _cover_branch(rest, k - 1, adj)
+        got = cover_at_most(rest, k - 1)
         if got is not None:
             got.add(pick)
             return got
@@ -115,9 +117,8 @@ def _cover_branch(edges, k, adj):
 
 def vertex_cover_min(g: Graph) -> list:
     """A minimum vertex cover via bounded edge branching."""
-    adj = g.adjacency()
     for k in range(g.n + 1):
-        got = _cover_branch(set(g.edges), k, adj)
+        got = cover_at_most(set(g.edges), k)
         if got is not None:
             return sorted(got)
     raise AssertionError("V itself always covers")

@@ -5,36 +5,18 @@ and enumerate per-component behaviours.  Components of equal
 capacity-aware type share their behaviour catalogue, so each behaviour
 is collapsed to a cost signature (solution size inside the component
 plus the loads it pushes onto separator vertices) and an integer
-program picks how many components of each type realise each signature.
-Only Pareto-minimal signatures are kept.
+program (``solvers/configuration.py``) picks how many components of each
+type realise each signature.  Only Pareto-minimal signatures are kept.
 """
 
 from itertools import combinations, product
 
-from ..graphs import anchored_isomorphic, edge_key, induced
-from ..ilp import IlpInstance, optimize
+from ..graphs import anchored_isomorphic  # noqa: F401  (perfbench wraps this binding)
+from ..graphs import edge_key
+from ..ilp import optimize
 from ..integrity import vertex_integrity
 from ..typesys import classify_detailed
-
-
-def _component_iso(g, s_list, rep, comp):
-    """Separator-fixing, capacity-preserving map of rep onto comp.
-
-    Components are classified in capacity mode, so the map must respect
-    capacities but not colors an instance happens to carry.
-    """
-    sub1, m1 = induced(g, list(s_list) + rep)
-    sub2, m2 = induced(g, list(s_list) + comp)
-    iso = anchored_isomorphic(sub1, sub2, [m1[s] for s in s_list],
-                              [m2[s] for s in s_list],
-                              respect_capacities=True, respect_colors=False)
-    if iso is None:
-        raise RuntimeError("components of equal type must be isomorphic")
-    back = {x: v for v, x in m2.items()}
-    phi = {v: back[iso[m1[v]]] for v in rep}
-    for s in s_list:
-        phi[s] = s
-    return phi
+from .configuration import configuration_ip, place
 
 
 def _pareto(signatures, dominates):
@@ -169,62 +151,29 @@ def cvc_vi(g):
 
 
 def _cvc_solve_guess(g, s_list, groups, x_s, res, sig_cache):
-    per_group = []
-    for t, comps in groups:
+    cols = []
+    for gi, (t, comps) in enumerate(groups):
         if t.code not in sig_cache:
             sig_cache[t.code] = _cvc_signatures(g, s_list, set(x_s), comps[0])
-        sigs = sorted(sig_cache[t.code].items())
-        if not sigs:
+        if not sig_cache[t.code]:
             return None
-        per_group.append((comps, sigs))
-
-    n_x = sum(len(sigs) for (_, sigs) in per_group)
-    bounds = []
-    constraints = []
-    obj = []
-    col = 0
-    group_cols = []
-    for comps, sigs in per_group:
-        row = [0] * n_x
-        for i in range(len(sigs)):
-            row[col + i] = 1
-        constraints.append((tuple(row), "==", len(comps)))
-        bounds.extend([(0, len(comps))] * len(sigs))
-        obj.extend(sig[0] for (sig, _) in sigs)
-        group_cols.append(col)
-        col += len(sigs)
-    x_sorted = sorted(x_s)
-    for j, v in enumerate(x_sorted):
-        row = []
-        for comps, sigs in per_group:
-            row.extend(sig[1][j] for (sig, _) in sigs)
-        constraints.append((tuple(row), "<=", res[v]))
-
-    inst = IlpInstance(tuple(bounds), tuple(constraints), (tuple(obj), "min"))
-    got = optimize(inst)
+        cols += [(gi, item) for item in sorted(sig_cache[t.code].items())]
+    rows = [(tuple(sig[1][j] for _, (sig, _) in cols), "<=", res[v])
+            for j, v in enumerate(sorted(x_s))]
+    obj = [sig[0] for _, (sig, _) in cols]
+    got = optimize(configuration_ip(groups, cols, rows, (obj, "min")))
     if got is None:
         return None
     point, value = got
 
+    s_set = set(s_list)
     cover = set()
     assign = {}
-    for gi, (comps, sigs) in enumerate(per_group):
-        ci = 0
-        for i, (sig, wit) in enumerate(sigs):
-            for _ in range(point[group_cols[gi] + i]):
-                comp = comps[ci]
-                ci += 1
-                if comp == comps[0]:
-                    phi = None
-                else:
-                    phi = _component_iso(g, s_list, comps[0], comp)
-                for (u, v), r in wit.items():
-                    uu = phi[u] if phi and u in phi else u
-                    vv = phi[v] if phi and v in phi else v
-                    rr = phi[r] if phi and r in phi else r
-                    assign[edge_key(uu, vv)] = rr
-                    if rr not in set(s_list):
-                        cover.add(rr)
+    for _, phi, (_, wit) in place(g, s_list, groups, cols, point, "capacity"):
+        for (u, v), r in wit.items():
+            assign[edge_key(phi[u], phi[v])] = phi[r]
+            if phi[r] not in s_set:
+                cover.add(phi[r])
     return value, cover, assign
 
 
@@ -356,73 +305,37 @@ def cds_vi(g):
 
 
 def _cds_solve_guess(g, s_list, groups, d_s, b_s, res, sig_cache):
-    per_group = []
-    for t, comps in groups:
+    cols = []
+    for gi, (t, comps) in enumerate(groups):
         if t.code not in sig_cache:
             sig_cache[t.code] = _cds_signatures(g, s_list, d_s, b_s, comps[0])
-        sigs = sorted(sig_cache[t.code].items())
-        if not sigs:
+        if not sig_cache[t.code]:
             return None
-        per_group.append((comps, sigs))
-
-    n_x = sum(len(sigs) for (_, sigs) in per_group)
-    d_sorted = sorted(d_s)
-    b_sorted = sorted(b_s)
-    bounds = []
-    constraints = []
-    obj = []
-    col = 0
-    group_cols = []
-    for comps, sigs in per_group:
-        row = [0] * n_x
-        for i in range(len(sigs)):
-            row[col + i] = 1
-        constraints.append((tuple(row), "==", len(comps)))
-        bounds.extend([(0, len(comps))] * len(sigs))
-        obj.extend(sig[0] for (sig, _) in sigs)
-        group_cols.append(col)
-        col += len(sigs)
-    for j, u in enumerate(d_sorted):
-        row = []
-        for comps, sigs in per_group:
-            row.extend(sig[1][j] for (sig, _) in sigs)
-        constraints.append((tuple(row), "<=", res[u]))
-    for b in b_sorted:
-        row = []
-        for comps, sigs in per_group:
-            row.extend(1 if b in sig[2] else 0 for (sig, _) in sigs)
-        constraints.append((tuple(row), ">=", 1))
-
-    inst = IlpInstance(tuple(bounds), tuple(constraints), (tuple(obj), "min"))
-    got = optimize(inst)
+        cols += [(gi, item) for item in sorted(sig_cache[t.code].items())]
+    rows = [(tuple(sig[1][j] for _, (sig, _) in cols), "<=", res[u])
+            for j, u in enumerate(sorted(d_s))]
+    rows += [(tuple(int(b in sig[2]) for _, (sig, _) in cols), ">=", 1)
+             for b in sorted(b_s)]
+    obj = [sig[0] for _, (sig, _) in cols]
+    got = optimize(configuration_ip(groups, cols, rows, (obj, "min")))
     if got is None:
         return None
     point, value = got
 
     d_comp = set()
     fmap = {}
-    remaining = set(b_sorted)
-    for gi, (comps, sigs) in enumerate(per_group):
-        ci = 0
-        for i, ((_, _, covered), (d_c, wit)) in enumerate(sigs):
-            for _ in range(point[group_cols[gi] + i]):
-                comp = comps[ci]
-                ci += 1
-                if comp == comps[0]:
-                    phi = {v: v for v in comp}
-                    for s in s_list:
-                        phi[s] = s
-                else:
-                    phi = _component_iso(g, s_list, comps[0], comp)
-                d_comp.update(phi[v] for v in d_c)
-                for v, u in wit.items():
-                    if v in covered:
-                        # separator vertex dominated by this component
-                        if v in remaining:
-                            remaining.discard(v)
-                            fmap[v] = phi[u]
-                    else:
-                        fmap[phi[v]] = phi[u] if u in phi else u
+    remaining = set(b_s)
+    for _, phi, ((_, _, covered), (d_c, wit)) in place(g, s_list, groups, cols, point,
+                                                       "capacity"):
+        d_comp.update(phi[v] for v in d_c)
+        for v, u in wit.items():
+            if v in covered:
+                # separator vertex dominated by this component
+                if v in remaining:
+                    remaining.discard(v)
+                    fmap[v] = phi[u]
+            else:
+                fmap[phi[v]] = phi[u]
     if remaining:
         raise RuntimeError("coverage constraint left separator vertices out")
     return value, d_comp, fmap

@@ -4,30 +4,18 @@ Three solvers share the same skeleton: fix a separator S, guess the
 solution's behaviour on S, and handle the components of G - S either
 by direct backtracking (precolouring extension) or by collapsing
 per-component choices to count vectors matched up with an integer
-program (the equitable variants).
+program (the equitable variants; see ``solvers/configuration.py``).
 """
 
 from itertools import combinations, product
 from math import ceil
 
-from ..graphs import anchored_isomorphic, components, induced, is_connected_subset
+from ..graphs import anchored_isomorphic  # noqa: F401  (perfbench wraps this binding)
+from ..graphs import components, is_connected_subset
 from ..ilp import IlpInstance, feasible
 from ..integrity import vertex_integrity
-from ..typesys import classify_detailed, labelled_code
-
-
-def _component_iso(g, s_list, rep, comp):
-    """Separator-fixing isomorphism of rep onto comp (plain types)."""
-    sub1, m1 = induced(g, list(s_list) + rep)
-    sub2, m2 = induced(g, list(s_list) + comp)
-    iso = anchored_isomorphic(
-        sub1, sub2, [m1[s] for s in s_list], [m2[s] for s in s_list],
-        respect_capacities=False, respect_colors=False,
-    )
-    if iso is None:
-        raise RuntimeError("components of equal type must be isomorphic")
-    back = {x: v for v, x in m2.items()}
-    return {v: back[iso[m1[v]]] for v in rep}
+from ..typesys import classify_detailed, component_map, labelled_code
+from .configuration import configuration_ip, place
 
 
 # ------------------------------------------------------- precolouring
@@ -161,59 +149,16 @@ def _eqcol_vectors(g, s_list, assign, comp, classes, free_class):
     return out
 
 
-def _match_vectors(groups, vec_maps, counts_rhs):
-    """Pick per-type vector multiplicities meeting exact class counts.
-
-    Returns (per-group list of (vector, witness, multiplicity)) or None.
-    """
-    n_x = sum(len(vm) for vm in vec_maps)
-    bounds = []
-    constraints = []
-    col = 0
-    group_cols = []
-    for (_, comps), vm in zip(groups, vec_maps):
-        row = [0] * n_x
-        for i in range(len(vm)):
-            row[col + i] = 1
-        constraints.append((tuple(row), "==", len(comps)))
-        bounds.extend([(0, len(comps))] * len(vm))
-        group_cols.append(col)
-        col += len(vm)
-    n_classes = len(counts_rhs)
-    for j in range(n_classes):
-        row = []
-        for vm in vec_maps:
-            row.extend(vec[j] for (vec, _) in vm)
-        constraints.append((tuple(row), "==", counts_rhs[j]))
-
-    point = feasible(IlpInstance(tuple(bounds), tuple(constraints)))
+def _eqcol_classes(g, s_list, groups, cols, rhs):
+    """Per-vertex classes of the components, taking per-type vector
+    multiplicities that meet the class counts ``rhs``, or None."""
+    rows = [(tuple(vec[j] for _, (vec, _) in cols), "==", x) for j, x in enumerate(rhs)]
+    point = feasible(configuration_ip(groups, cols, rows))
     if point is None:
         return None
-    chosen = []
-    for gi, vm in enumerate(vec_maps):
-        part = []
-        for i, (vec, wit) in enumerate(vm):
-            cnt = point[group_cols[gi] + i]
-            if cnt:
-                part.append((vec, wit, cnt))
-        chosen.append(part)
-    return chosen
-
-
-def _distribute(g, s_list, groups, chosen):
-    """Concrete per-vertex classes from chosen vector multiplicities."""
     out = {}
-    for (t, comps), part in zip(groups, chosen):
-        ci = 0
-        for (_, wit, cnt) in part:
-            for _ in range(cnt):
-                comp = comps[ci]
-                ci += 1
-                if comp == comps[0]:
-                    out.update(wit)
-                else:
-                    phi = _component_iso(g, s_list, comps[0], comp)
-                    out.update({phi[v]: c for v, c in wit.items()})
+    for _, phi, (_, wit) in place(g, s_list, groups, cols, point, "plain"):
+        out.update({phi[v]: c for v, c in wit.items()})
     return out
 
 
@@ -247,15 +192,13 @@ def equitable_coloring_vi(g, r):
             ]
             if any(x < 0 for x in rhs):
                 continue
-            vec_maps = [
-                sorted(_eqcol_vectors(g, s_list, assign, cs[0], range(1, r + 1), None).items())
-                for (_, cs) in groups
-            ]
-            chosen = _match_vectors(groups, vec_maps, rhs)
-            if chosen is None:
+            cols = [(gi, item) for gi, (_, cs) in enumerate(groups) for item in
+                    sorted(_eqcol_vectors(g, s_list, assign, cs[0], range(1, r + 1), None).items())]
+            classed = _eqcol_classes(g, s_list, groups, cols, rhs)
+            if classed is None:
                 continue
             col = dict(assign)
-            col.update(_distribute(g, s_list, groups, chosen))
+            col.update(classed)
             return col
         return None
 
@@ -270,10 +213,8 @@ def equitable_coloring_vi(g, r):
             for v in s_list[i + 1:]
         ):
             continue
-        vec_maps = [
-            sorted(_eqcol_vectors(g, s_list, assign, cs[0], range(1, k + 1), 0).items())
-            for (_, cs) in groups
-        ]
+        cols = [(gi, item) for gi, (_, cs) in enumerate(groups) for item in
+                sorted(_eqcol_vectors(g, s_list, assign, cs[0], range(1, k + 1), 0).items())]
         for big in range(max(0, b - spare), min(k, b) + 1):
             targets = _class_targets(n, r, 0)
             head = [n // r + (1 if i < big else 0) for i in range(k)]
@@ -283,11 +224,10 @@ def equitable_coloring_vi(g, r):
             ]
             if any(x < 0 for x in rhs):
                 continue
-            chosen = _match_vectors(groups, vec_maps, rhs)
-            if chosen is None:
+            classed = _eqcol_classes(g, s_list, groups, cols, rhs)
+            if classed is None:
                 continue
             col = dict(assign)
-            classed = _distribute(g, s_list, groups, chosen)
             leftovers = []
             for comp in components(g, set(s_list)):
                 leftovers.extend(v for v in comp if classed.get(v, 0) == 0)
@@ -452,52 +392,28 @@ def _ecp_try_representation(g, s_list, groups, mu_lists, combo, s_classes, targe
     chunks = [set(c) for c in s_classes]
     for (t, comps), mus, chosen in zip(groups, mu_lists, combo):
         for slot, mi in enumerate(chosen):
-            comp = comps[slot]
-            mu = mus[mi]
-            if comp == comps[0]:
-                mapped = mu
-            else:
-                phi = _component_iso(g, s_list, comps[0], comp)
-                mapped = {phi[v]: c for v, c in mu.items()}
-            for v, c in mapped.items():
-                chunks[c - 1].add(v)
+            phi = component_map(g, s_list, comps[0], comps[slot], "plain")
+            for v, c in mus[mi].items():
+                chunks[c - 1].add(phi[v])
     if any(not is_connected_subset(g, chunk) for chunk in chunks):
         return None
 
-    cols = []
-    for gi, ((t, comps), chosen) in enumerate(zip(groups, combo)):
-        for mi in chosen:
-            cols.append((gi, mi))
-    bounds = [(1, len(groups[gi][1])) for (gi, _) in cols]
-    constraints = []
-    for gi, (t, comps) in enumerate(groups):
-        row = [1 if c[0] == gi else 0 for c in cols]
-        constraints.append((tuple(row), "==", len(comps)))
+    cols = [(gi, mu_lists[gi][mi]) for gi, chosen in enumerate(combo) for mi in chosen]
+    # every chosen labelling is used at least once, so bounds start at 1
+    bounds = [(1, len(groups[gi][1])) for gi, _ in cols]
+    constraints = [(tuple(int(c == gi) for c, _ in cols), "==", len(comps))
+                   for gi, (_, comps) in enumerate(groups)]
     for i in range(r):
-        row = [
-            sum(1 for c in mu_lists[gi][mi].values() if c == i + 1)
-            for (gi, mi) in cols
-        ]
+        row = [sum(1 for c in mu.values() if c == i + 1) for _, mu in cols]
         constraints.append((tuple(row), "==", targets[i] - len(s_classes[i])))
     point = feasible(IlpInstance(tuple(bounds), tuple(constraints)))
     if point is None:
         return None
 
     parts = [set(c) for c in s_classes]
-    next_free = [0] * len(groups)
-    for (gi, mi), cnt in zip(cols, point):
-        comps = groups[gi][1]
-        mu = mu_lists[gi][mi]
-        for _ in range(cnt):
-            comp = comps[next_free[gi]]
-            next_free[gi] += 1
-            if comp is comps[0]:
-                mapped = mu
-            else:
-                phi = _component_iso(g, s_list, comps[0], comp)
-                mapped = {phi[v]: c for v, c in mu.items()}
-            for v, c in mapped.items():
-                parts[c - 1].add(v)
+    for _, phi, mu in place(g, s_list, groups, cols, point, "plain"):
+        for v, c in mu.items():
+            parts[c - 1].add(phi[v])
     return [sorted(p) for p in parts]
 
 

@@ -7,15 +7,17 @@ ordering of S plus, per component, a placement of its vertices into the
 gaps between separator vertices.  Components of the same anchored type
 admit the same placements, so placements are enumerated once per type,
 collapsed to their cost signature, and the number of components using
-each signature is chosen by an integer program.
+each signature is chosen by the integer program of
+``solvers/configuration.py``.
 """
 
 from itertools import combinations_with_replacement, permutations
 
-from ..graphs import anchored_isomorphic, induced
-from ..ilp import IlpInstance, optimize
+from ..graphs import anchored_isomorphic  # noqa: F401  (perfbench wraps this binding)
+from ..ilp import optimize
 from ..integrity import vertex_integrity
 from ..typesys import classify_detailed
+from .configuration import configuration_ip, place
 
 
 def imbalance_of(g, ordering):
@@ -73,100 +75,35 @@ def _placements(g, sigma, comp):
     return out
 
 
-def _component_iso(g, sigma, rep, comp):
-    """Separator-fixing isomorphism from component rep onto comp.
-
-    Imbalance only depends on adjacency, so components are classified in
-    plain mode and decorations must not constrain the map either.
-    """
-    sub1, map1 = induced(g, list(sigma) + rep)
-    sub2, map2 = induced(g, list(sigma) + comp)
-    iso = anchored_isomorphic(
-        sub1, sub2, [map1[s] for s in sigma], [map2[s] for s in sigma],
-        respect_capacities=False, respect_colors=False,
-    )
-    if iso is None:
-        raise RuntimeError("components of equal type must be isomorphic")
-    back = {x: v for v, x in map2.items()}
-    return {v: back[iso[map1[v]]] for v in rep}
-
-
 def _solve_for_order(g, sigma):
     groups = classify_detailed(g, sigma)
-    sig_lists = []  # per group: [(signature, witness)] in stable order
-    for (_, comps) in groups:
-        placed = _placements(g, sigma, comps[0])
-        sig_lists.append(sorted(placed.items()))
-
-    n_x = sum(len(sl) for sl in sig_lists)
+    # one count per (group, placement signature), then y_j >= the
+    # imbalance of sigma[j]
+    cols = [(gi, placed) for gi, (_, comps) in enumerate(groups)
+            for placed in sorted(_placements(g, sigma, comps[0]).items())]
     n_y = len(sigma)
-    bounds = []
-    for (_, comps), sl in zip(groups, sig_lists):
-        bounds.extend([(0, len(comps))] * len(sl))
-    bounds.extend([(0, g.n)] * n_y)
-
-    constraints = []
-    col = 0
-    col_of_group = []
-    for (_, comps), sl in zip(groups, sig_lists):
-        row = [0] * (n_x + n_y)
-        for i in range(len(sl)):
-            row[col + i] = 1
-        constraints.append((tuple(row), "==", len(comps)))
-        col_of_group.append(col)
-        col += len(sl)
-
     s_pos = {v: i for i, v in enumerate(sigma)}
+    rows = []
     for j, s in enumerate(sigma):
-        base_l = sum(1 for u in g.neighbors(s) if u in s_pos and s_pos[u] < j)
-        base_r = sum(1 for u in g.neighbors(s) if u in s_pos and s_pos[u] > j)
-        diff = [0] * (n_x + n_y)
-        col = 0
-        for (_, comps), sl in zip(groups, sig_lists):
-            in_comp = sum(1 for u in g.neighbors(s) if u in set(comps[0]))
-            for i, ((im, l_vec), _) in enumerate(sl):
-                diff[col + i] = 2 * l_vec[j] - in_comp
-            col += len(sl)
-        d0 = base_l - base_r
+        nbrs = g.neighbors(s)
+        # separator neighbours left of sigma[j] minus those right of it
+        d0 = sum(1 if s_pos[u] < j else -1 for u in nbrs if u in s_pos)
+        diff = [2 * l_vec[j] - len(nbrs & set(groups[gi][1][0]))
+                for gi, ((_, l_vec), _) in cols]
+        y = tuple(int(i == j) for i in range(n_y))
         # y_j >= d0 + sum(diff * x) and y_j >= -(d0 + sum(diff * x))
-        row1 = [-c for c in diff]
-        row1[n_x + j] = 1
-        constraints.append((tuple(row1), ">=", d0))
-        row2 = list(diff)
-        row2[n_x + j] = 1
-        constraints.append((tuple(row2), ">=", -d0))
-
-    obj = [0] * (n_x + n_y)
-    col = 0
-    for sl in sig_lists:
-        for i, ((im, _), _) in enumerate(sl):
-            obj[col + i] = im
-        col += len(sl)
-    for j in range(n_y):
-        obj[n_x + j] = 1
-
-    inst = IlpInstance(tuple(bounds), tuple(constraints), (tuple(obj), "min"))
+        rows.append((tuple(-c for c in diff) + y, ">=", d0))
+        rows.append((tuple(diff) + y, ">=", -d0))
+    obj = [im for _, ((im, _), _) in cols] + [1] * n_y
+    inst = configuration_ip(groups, cols, rows, (obj, "min"), [(0, g.n)] * n_y)
     got = optimize(inst)
     if got is None:
         return None
-    point, _ = got
 
-    # distribute the components of each group over its chosen signatures
     buckets = [[] for _ in range(len(sigma) + 1)]
-    for gi, ((_, comps), sl) in enumerate(zip(groups, sig_lists)):
-        counts = list(point[col_of_group[gi]:col_of_group[gi] + len(sl)])
-        ci = 0
-        for (sig, (pi, gaps)), cnt in zip(sl, counts):
-            for _ in range(cnt):
-                comp = comps[ci]
-                ci += 1
-                if comp == comps[0]:
-                    placed = list(pi)
-                else:
-                    phi = _component_iso(g, sigma, comps[0], comp)
-                    placed = [phi[v] for v in pi]
-                for v, gp in zip(placed, gaps):
-                    buckets[gp].append(v)
+    for _, phi, (_, (pi, gaps)) in place(g, sigma, groups, cols, got[0], "plain"):
+        for v, gp in zip(pi, gaps):
+            buckets[gp].append(phi[v])
 
     ordering = []
     for j in range(len(sigma) + 1):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from ._kernels import min_anchored_code
-from .graphs import Graph, components, edge_key
+from .graphs import Graph, anchored_isomorphic, components, edge_key, induced
 
 MODES = ("plain", "capacity", "color")
 
@@ -124,6 +124,33 @@ def classify_detailed(g: Graph, s_ordered, mode="plain"):
         t = _component_type(g, s_list, comp, mode, edges)
         groups.setdefault(t, []).append(comp)
     return sorted(groups.items(), key=lambda kv: kv[0].code)
+
+
+def component_map(g: Graph, s_list, rep, comp, mode) -> dict:
+    """Map of S + ``rep`` onto S + ``comp`` that fixes S pointwise.
+
+    ``rep`` and ``comp`` are components of g - S of one ``mode`` type, so
+    the map respects exactly what that type respects: capacities in
+    "capacity" mode, colors in "color" mode.  It is the identity when
+    ``comp == rep``.  Raises RuntimeError when no such map exists.
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    s_list = list(s_list)
+    phi = {s: s for s in s_list}
+    if comp == rep:
+        phi.update((v, v) for v in rep)
+        return phi
+    sub1, m1 = induced(g, s_list + rep)
+    sub2, m2 = induced(g, s_list + comp)
+    iso = anchored_isomorphic(sub1, sub2, [m1[s] for s in s_list], [m2[s] for s in s_list],
+                              respect_capacities=mode == "capacity",
+                              respect_colors=mode == "color")
+    if iso is None:
+        raise RuntimeError("components of equal type must be isomorphic")
+    back = {x: v for v, x in m2.items()}
+    phi.update((v, back[iso[m1[v]]]) for v in rep)
+    return phi
 
 
 def classify(g: Graph, s_ordered, mode="plain") -> dict:

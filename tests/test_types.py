@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from viforge.graphs import Graph, components, path_graph, star_graph
+from viforge.integrity import vertex_integrity
 from viforge.typesys import (
+    MODES,
     classify,
     classify_detailed,
+    component_map,
     enumerate_decompositions,
     g_type_of,
     labelled_code,
@@ -14,7 +17,7 @@ from viforge.typesys import (
     type_of,
 )
 
-from conftest import rand_graph
+from conftest import rand_graph, rand_vi_graph, with_caps, with_colors
 
 
 def test_star_leaves_collapse_to_one_type():
@@ -188,3 +191,64 @@ def test_classification_invariant_under_relabeling(seed):
     left = sorted((t.code, c) for t, c in classify(g, s, mode=mode).items())
     right = sorted((t.code, c) for t, c in classify(h, s2, mode=mode).items())
     assert left == right
+
+
+def _nx_anchored(nx, g: Graph, s_list, comp, mode):
+    """networkx graph on S + comp; anchors carry their position in S, and
+    every vertex carries the attribute ``mode`` types respect."""
+    h = nx.Graph()
+    attrs = {"capacity": g.capacities, "color": g.colors}.get(mode)
+    for v in s_list + comp:
+        anchor = s_list.index(v) if v in s_list else -1
+        h.add_node(v, key=(anchor, attrs[v] if attrs is not None else 0))
+    keep = set(h)
+    h.add_edges_from((u, v) for (u, v) in g.edges if u in keep and v in keep)
+    return h
+
+
+def test_component_map_carries_rep_onto_every_component_of_its_type():
+    nx = pytest.importorskip("networkx")
+    same_key = nx.algorithms.isomorphism.categorical_node_match("key", None)
+    mapped = refused = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        g = rand_vi_graph(rng, rng.randint(4, 11), rng.randint(2, 4))
+        g = with_colors(rng, with_caps(rng, g, by_degree=False), 2)
+        s_list = sorted(vertex_integrity(g)[1].separator)
+        for mode in MODES:
+            groups = classify_detailed(g, s_list, mode)
+            for gi, (_, comps) in enumerate(groups):
+                rep = comps[0]
+                for comp in comps:
+                    phi = component_map(g, s_list, rep, comp, mode)
+                    assert all(phi[s] == s for s in s_list)
+                    assert sorted(phi[v] for v in rep) == comp
+                    assert set(phi) == set(s_list) | set(rep)
+                    for u in phi:
+                        for v in phi:
+                            assert g.has_edge(u, v) == g.has_edge(phi[u], phi[v])
+                    if mode == "capacity":
+                        assert all(g.capacities[phi[v]] == g.capacities[v] for v in phi)
+                    if mode == "color":
+                        assert all(g.colors[phi[v]] == g.colors[v] for v in phi)
+                    if comp == rep:
+                        assert all(phi[v] == v for v in phi)
+                    else:
+                        mapped += 1
+                for _, others in groups[gi + 1:]:
+                    other = others[0]
+                    with pytest.raises(RuntimeError):
+                        component_map(g, s_list, rep, other, mode)
+                    assert not nx.is_isomorphic(_nx_anchored(nx, g, s_list, rep, mode),
+                                                _nx_anchored(nx, g, s_list, other, mode),
+                                                node_match=same_key)
+                    refused += len(rep) == len(other)
+    # the seeds must reach non-identity maps and same-size pairs of
+    # different types, or the checks above prove little
+    assert mapped >= 100 and refused >= 100
+
+
+def test_component_map_rejects_unknown_mode():
+    g = star_graph(2)
+    with pytest.raises(ValueError):
+        component_map(g, [0], [1], [2], "nope")
