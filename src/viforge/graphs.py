@@ -3,7 +3,9 @@ share: component splitting, induced subgraphs and anchored isomorphism.
 
 Vertices are dense integers 0..n-1.  Optional vertex capacities, vertex
 colors and edge weights are total maps when present (every vertex/edge has an
-entry or the attribute is absent entirely).
+entry or the attribute is absent entirely).  A graph builds its adjacency on
+first use and keeps it; ``validate()`` drops it again, so code that edits
+``edges`` in place calls ``validate()`` before reading the graph.
 """
 
 from dataclasses import dataclass, field
@@ -21,12 +23,14 @@ class Graph:
     capacities: Optional[dict] = None
     colors: Optional[dict] = None
     weights: Optional[dict] = None
+    _adj: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.edges = {edge_key(u, v) for (u, v) in self.edges}
         self.validate()
 
     def validate(self):
+        self._adj = None
         if self.n < 0:
             raise ValueError("vertex count must be non-negative")
         for (u, v) in self.edges:
@@ -60,24 +64,22 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return edge_key(u, v) in self.edges
 
-    def adjacency(self) -> list:
-        adj = [set() for _ in range(self.n)]
-        for (u, v) in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+    def adjacency(self) -> tuple:
+        """Neighbour set of every vertex, built on first use and shared by
+        every caller, hence frozen."""
+        if self._adj is None:
+            adj = [set() for _ in range(self.n)]
+            for (u, v) in self.edges:
+                adj[u].add(v)
+                adj[v].add(u)
+            self._adj = tuple(map(frozenset, adj))
+        return self._adj
 
     def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
+        return len(self.adjacency()[v])
 
-    def neighbors(self, v: int) -> set:
-        out = set()
-        for (a, b) in self.edges:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return out
+    def neighbors(self, v: int) -> frozenset:
+        return self.adjacency()[v]
 
     def copy(self) -> "Graph":
         return Graph(
@@ -158,17 +160,16 @@ def induced(g: Graph, vs) -> tuple[Graph, dict]:
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} out of range")
     remap = {old: new for new, old in enumerate(keep)}
+    adj = g.adjacency()
     kept = set(keep)
-    edges = {(remap[u], remap[v]) for (u, v) in g.edges if u in kept and v in kept}
+    pairs = [(u, v) for u in keep for v in adj[u] & kept if u < v]
+    # remap keeps the order, so the renumbered pairs stay (small, large)
+    edges = {(remap[u], remap[v]) for (u, v) in pairs}
     caps = {remap[v]: g.capacities[v] for v in keep} if g.capacities is not None else None
     cols = {remap[v]: g.colors[v] for v in keep} if g.colors is not None else None
     wts = None
     if g.weights is not None:
-        wts = {
-            edge_key(remap[u], remap[v]): w
-            for (u, v), w in g.weights.items()
-            if u in kept and v in kept
-        }
+        wts = {(remap[u], remap[v]): g.weights[(u, v)] for (u, v) in pairs}
     return Graph(len(keep), edges, caps, cols, wts), remap
 
 

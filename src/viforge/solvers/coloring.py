@@ -77,8 +77,9 @@ def precoloring_extension_vi(g, precolored, r):
 
     # separator vertices with many allowed colours can always be coloured
     # last: fewer than 2k colours are ever blocked around them
-    dropped = [v for v in sorted(s_set) if v not in u_set and len(lists[v]) >= 2 * k]
-    alive = [v for v in sorted(s_set) if v not in u_set and v not in set(dropped)]
+    open_s = sorted(s_set - u_set)
+    dropped = [v for v in open_s if len(lists[v]) >= 2 * k]
+    alive = [v for v in open_s if len(lists[v]) < 2 * k]
     removed = u_set | set(dropped)
     comps = components(g, removed | set(alive))
 
@@ -125,23 +126,19 @@ def _eqcol_vectors(g, s_list, assign, comp, classes, free_class):
     the spare colours).  Returns {vector: witness μ}.
     """
     comp = sorted(comp)
+    pos = {v: i for i, v in enumerate(comp)}
+    # per component vertex: the classes of its separator neighbours and
+    # the positions of its neighbours inside the component
+    taken = [{assign[u] for u in g.neighbors(v) if u in assign} for v in comp]
+    inner = [[pos[u] for u in g.neighbors(v) if u in pos] for v in comp]
     out = {}
     labels = list(classes) + ([free_class] if free_class is not None else [])
     for mu in product(labels, repeat=len(comp)):
-        ok = True
-        for v, c in zip(comp, mu):
-            if free_class is not None and c == free_class:
-                continue
-            for u in g.neighbors(v):
-                if u in assign and assign[u] == c:
-                    ok = False
-                    break
-                if u in set(comp) and mu[comp.index(u)] == c:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
+        if not all(
+            c == free_class
+            or (c not in taken[i] and all(mu[j] != c for j in inner[i]))
+            for i, c in enumerate(mu)
+        ):
             continue
         vec = tuple(sum(1 for c in mu if c == cls) for cls in classes)
         if vec not in out:
@@ -257,17 +254,47 @@ def _check_equitable(g, r, col):
 
 def _connected_sets(g, allowed, size, anchor=None, meets=None):
     """Connected subsets of ``allowed`` with ``size`` vertices; each must
-    contain ``anchor`` (when given) and intersect ``meets`` (when given)."""
-    out = []
-    pool = sorted(allowed)
-    for pick in combinations(pool, size):
-        if anchor is not None and anchor not in pick:
-            continue
-        if meets is not None and not (set(pick) & meets):
-            continue
-        if is_connected_subset(g, pick):
-            out.append(set(pick))
-    return out
+    contain ``anchor`` (when given) and intersect ``meets`` (when given).
+
+    The sets are grown outward from each root (the anchor, else every
+    vertex of ``meets``, else every vertex): pick a vertex next to the
+    set, then add it or ban it for the rest of that branch.  A finished
+    root is banned too, so every set comes out exactly once.  They are
+    yielded in the order of ``combinations(sorted(allowed), size)``.
+    """
+    allowed = set(allowed)
+    if size == 0:
+        if anchor is None and meets is None:
+            yield set()
+        return
+    if anchor is not None:
+        roots = [anchor] if anchor in allowed else []
+    elif meets is not None:
+        roots = sorted(allowed & meets)
+    else:
+        roots = sorted(allowed)
+    adj = g.adjacency()
+    found = []
+
+    def grow(cur, ext, banned):
+        if len(cur) == size:
+            if meets is None or cur & meets:
+                found.append(tuple(sorted(cur)))
+            return
+        banned = set(banned)
+        while ext:
+            v = ext.pop()
+            nxt = cur | {v}
+            grow(nxt, (ext | (adj[v] & allowed)) - nxt - banned, banned)
+            banned.add(v)
+
+    done = set()
+    for root in roots:
+        grow({root}, (allowed & adj[root]) - done, done)
+        done.add(root)
+    found.sort()
+    for part in found:
+        yield set(part)
 
 
 def _sized_partition(g, region, sizes):

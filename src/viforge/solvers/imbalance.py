@@ -47,7 +47,9 @@ def _placements(g, sigma, comp):
     the component vertices and l_vec[j] counts neighbours of sigma[j]
     inside the component placed before sigma[j].
     """
-    s_pos = {v: i for i, v in enumerate(sigma)}
+    inside = set(comp)
+    comp_nbrs = [(v, g.neighbors(v), g.degree(v)) for v in comp]
+    sigma_nbrs = [(s, g.neighbors(s) & inside) for s in sigma]
     out = {}
     for pi in permutations(comp):
         for gaps in combinations_with_replacement(range(len(sigma) + 1), len(comp)):
@@ -62,13 +64,10 @@ def _placements(g, sigma, comp):
                     joint.append(sigma[j])
             pos = {v: i for i, v in enumerate(joint)}
             im = 0
-            for v in comp:
-                left = sum(1 for u in g.neighbors(v) if pos[u] < pos[v])
-                im += abs(2 * left - g.degree(v))
-            l_vec = tuple(
-                sum(1 for u in g.neighbors(s) if u in pos and u not in s_pos and pos[u] < pos[s])
-                for s in sigma
-            )
+            for v, nbrs, deg in comp_nbrs:
+                left = sum(1 for u in nbrs if pos[u] < pos[v])
+                im += abs(2 * left - deg)
+            l_vec = tuple(sum(1 for u in nbrs if pos[u] < pos[s]) for s, nbrs in sigma_nbrs)
             sig = (im, l_vec)
             if sig not in out:
                 out[sig] = (pi, gaps)

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +12,10 @@ from viforge.oracles import (
     verify_eqcoloring,
     verify_precoloring,
 )
+from viforge.cli import EXIT_NO, run
+from viforge.solvers import coloring
 from viforge.solvers.coloring import (
+    _connected_sets,
     equitable_coloring_vi,
     equitable_connected_partition_vi,
     precoloring_extension_vi,
@@ -141,3 +145,78 @@ class TestEquitablePartition:
         assert (got is None) == (want is None)
         if got is not None:
             assert verify_ecp(g, r, got)
+
+
+def _connected_sets_by_filter(g, allowed, size, anchor=None, meets=None):
+    """Every ``size``-combination of sorted(allowed) that contains the
+    anchor, meets ``meets`` and is connected by breadth-first search."""
+    adj = {v: set() for v in range(g.n)}
+    for (u, v) in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    out = []
+    for pick in combinations(sorted(allowed), size):
+        part = set(pick)
+        if anchor is not None and anchor not in part:
+            continue
+        if meets is not None and not part & meets:
+            continue
+        if part:
+            seen = {pick[0]}
+            frontier = [pick[0]]
+            for u in frontier:
+                for w in adj[u] & part - seen:
+                    seen.add(w)
+                    frontier.append(w)
+            if seen != part:
+                continue
+        out.append(part)
+    return out
+
+
+def test_connected_sets_match_filtered_combinations():
+    rng = random.Random(7)
+    queries = 0
+    for _ in range(2000):
+        n = rng.randint(0, 11)
+        g = rand_graph(rng, n, p=rng.choice([0.15, 0.3, 0.5]))
+        everything = set(range(n))
+        some = {v for v in range(n) if rng.random() < 0.7}
+        outside = everything - some
+        for allowed in (everything, some):
+            size = rng.randint(0, len(allowed))
+            anchor = rng.choice(sorted(allowed)) if allowed else None
+            meets = {v for v in range(n) if rng.random() < 0.3}
+            calls = [
+                {},
+                {"anchor": anchor},
+                {"meets": meets},
+                {"anchor": anchor, "meets": meets},
+            ]
+            if outside:
+                calls.append({"anchor": rng.choice(sorted(outside))})
+            for kw in calls:
+                for s in (size, 0):
+                    want = _connected_sets_by_filter(g, allowed, s, **kw)
+                    assert list(_connected_sets(g, allowed, s, **kw)) == want, (g, allowed, s, kw)
+                    queries += 1
+    assert queries > 30000
+
+
+def test_ecp_without_a_partition_grows_parts_instead_of_filtering(tmp_path, capsys,
+                                                                  monkeypatch):
+    # one separator vertex and parts of 8-9 vertices: filtering every
+    # 9-subset made 1,562,275 connectivity checks here
+    assert run(["gen", "random-vi", "--seed", "1", "--n", "26", "--k", "2"]) == 0
+    path = tmp_path / "g.txt"
+    path.write_text(capsys.readouterr().out)
+    calls = []
+    real = coloring.is_connected_subset
+
+    def counted(g, vs):
+        calls.append(1)
+        return real(g, vs)
+
+    monkeypatch.setattr(coloring, "is_connected_subset", counted)
+    assert run(["solve", "ecp", str(path), "--r", "3"]) == EXIT_NO
+    assert len(calls) <= 1000

@@ -16,7 +16,7 @@ from viforge.graphs import (
     star_graph,
 )
 
-from conftest import rand_graph
+from conftest import rand_graph, with_caps, with_colors, with_weights
 
 
 def test_edge_key_orders_endpoints():
@@ -183,3 +183,40 @@ def test_nonisomorphic_when_degree_sequences_differ(seed):
     deg = lambda x: sorted(x.degree(v) for v in range(x.n))
     if deg(g) != deg(h) or g.m != h.m:
         assert anchored_isomorphic(g, h) is None
+
+
+def test_adjacency_cache_matches_an_edge_scan():
+    rng = random.Random(11)
+    for _ in range(200):
+        g = rand_graph(rng, rng.randint(0, 12), p=rng.choice([0.2, 0.5]))
+        g = with_weights(rng, with_colors(rng, with_caps(rng, g, False), 3))
+        scan = [{b if a == v else a for (a, b) in g.edges if v in (a, b)} for v in range(g.n)]
+        assert list(g.adjacency()) == scan
+        assert [g.neighbors(v) for v in range(g.n)] == scan
+        assert [g.degree(v) for v in range(g.n)] == [len(nb) for nb in scan]
+        vs = {v for v in range(g.n) if rng.random() < 0.6}
+        sub, remap = induced(g, vs)
+        kept = [(u, v) for (u, v) in sorted(g.edges) if u in vs and v in vs]
+        assert sub.edges == {(remap[u], remap[v]) for (u, v) in kept}
+        assert sub.weights == {(remap[u], remap[v]): g.weights[(u, v)] for (u, v) in kept}
+        assert sub.capacities == {remap[v]: g.capacities[v] for v in vs}
+        assert sub.colors == {remap[v]: g.colors[v] for v in vs}
+
+
+def test_neighbour_sets_cannot_change_the_graph():
+    g = path_graph(3)
+    with pytest.raises(AttributeError):
+        g.neighbors(1).add(0)
+    with pytest.raises(TypeError):
+        g.adjacency()[0] = frozenset({2})
+    assert g.neighbors(1) == {0, 2} and g.adjacency()[0] == {1}
+
+
+def test_validate_drops_the_cached_adjacency():
+    h = path_graph(3)
+    assert h.neighbors(0) == {1} and h.degree(2) == 1
+    h.edges.add((0, 2))
+    h.validate()
+    assert h.neighbors(0) == {1, 2} and h.degree(2) == 2
+    assert is_connected_subset(h, {0, 2})
+    assert components(h, removed={1}) == [[0, 2]]
