@@ -84,15 +84,18 @@ def _edge_pairs(edges):
 
 def _bounded_params(g: Graph, limit=8):
     """vi and vc when they are at most `limit` (and the graph is small
-    enough to search), else None for the unknown ones."""
-    report = {"vi": None, "vc": None, "limit": limit}
+    enough to search), else None for the unknown ones; "vis" holds the
+    ViSet that gave vi."""
+    report = {"vi": None, "vc": None, "limit": limit, "vis": None}
     if g.n <= 24:
         for k in range(1, min(limit, max(g.n, 1)) + 1):
-            if vi_k_set(g, k) is not None:
+            vis = vi_k_set(g, k)
+            if vis is not None:
                 report["vi"] = k
+                report["vis"] = vis
                 break
     for k in range(0, limit + 1):
-        got = cover_at_most(set(g.edges), k)
+        got = cover_at_most(g.edges, k)
         if got is not None:
             report["vc"] = len(got)
             break
@@ -464,12 +467,8 @@ def _run_params(args):
         "search_limit": args.max_k,
         "types": None,
     }
-    if report["vi"] is not None:
-        for k in range(1, report["vi"] + 1):
-            vis = vi_k_set(g, k)
-            if vis is not None:
-                break
-        sep = sorted(vis.separator)
+    if report["vis"] is not None:
+        sep = sorted(report["vis"].separator)
         out["separator"] = sep
         out["types"] = [
             {"order": len(comps[0]), "count": len(comps)}

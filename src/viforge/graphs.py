@@ -112,24 +112,26 @@ def star_graph(leaves: int) -> Graph:
 def components(g: Graph, removed=()) -> list:
     """Connected components of g minus ``removed``, each a sorted vertex
     list; components are ordered by their smallest vertex."""
-    removed = set(removed)
-    adj = g.adjacency()
-    seen = set(removed)
+    return split(g.adjacency(), set(range(g.n)).difference(removed))
+
+
+def split(adj, vs) -> list:
+    """Connected components of the subgraph that the adjacency ``adj``
+    induces on the vertex set ``vs``, in the order of ``components``."""
+    left = set(vs)
     out = []
-    for s in range(g.n):
-        if s in seen:
-            continue
-        comp = []
-        stack = [s]
-        seen.add(s)
+    while left:
+        comp = [left.pop()]
+        stack = comp[:]
         while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        out.append(sorted(comp))
+            fresh = adj[stack.pop()] & left
+            if fresh:
+                left -= fresh
+                comp.extend(fresh)
+                stack.extend(fresh)
+        comp.sort()
+        out.append(comp)
+    out.sort()
     return out
 
 
@@ -203,8 +205,9 @@ def anchored_isomorphic(
     if respect_colors and (g1.colors is None or g2.colors is None):
         raise ValueError("colors requested but absent")
 
-    adj1 = g1.adjacency()
-    adj2 = g2.adjacency()
+    for a, b in zip(anchors1, anchors2):
+        if not (0 <= a < g1.n and 0 <= b < g2.n):
+            raise ValueError("anchor out of range")
 
     def attr_ok(u, x):
         if respect_capacities and g1.capacities[u] != g2.capacities[x]:
@@ -213,30 +216,49 @@ def anchored_isomorphic(
             return False
         return True
 
+    return anchored_search(g1.adjacency(), g2.adjacency(), set(range(g1.n)), set(range(g2.n)),
+                           anchors1, anchors2, attr_ok)
+
+
+def anchored_search(adj1, adj2, vs1, vs2, anchors1, anchors2, attr_ok) -> Optional[dict]:
+    """Isomorphism from the subgraph ``adj1`` induces on ``vs1`` onto the
+    one ``adj2`` induces on ``vs2`` that maps anchors1[i] to anchors2[i]
+    and pairs vertices u, x only when ``attr_ok(u, x)``, or None.
+
+    The anchors must lie in their vertex sets.  Free vertices are placed
+    by falling degree inside their subgraph, ties by id, each onto the
+    smallest unused vertex that passes the degree, attribute and
+    adjacency checks, so the first map found depends only on ids.
+    """
+    if len(vs1) != len(vs2):
+        return None
+    deg1 = {v: len(adj1[v] & vs1) for v in vs1}
+    deg2 = {x: len(adj2[x] & vs2) for x in vs2}
+    if sum(deg1.values()) != sum(deg2.values()):
+        return None
+
     mapping = {}
     used = set()
     for a, b in zip(anchors1, anchors2):
-        if not (0 <= a < g1.n and 0 <= b < g2.n):
-            raise ValueError("anchor out of range")
-        if len(adj1[a]) != len(adj2[b]) or not attr_ok(a, b):
+        if deg1[a] != deg2[b] or not attr_ok(a, b):
             return None
         mapping[a] = b
         used.add(b)
     # anchors must already induce matching adjacency among themselves
     for i, a in enumerate(anchors1):
         for a2 in anchors1[i + 1:]:
-            if g1.has_edge(a, a2) != g2.has_edge(mapping[a], mapping[a2]):
+            if (a2 in adj1[a]) != (mapping[a2] in adj2[mapping[a]]):
                 return None
 
-    free = [v for v in range(g1.n) if v not in mapping]
-    free.sort(key=lambda v: (-len(adj1[v]), v))
+    free = sorted((v for v in vs1 if v not in mapping), key=lambda v: (-deg1[v], v))
+    targets = sorted(x for x in vs2 if x not in used)
 
     def extend(idx):
         if idx == len(free):
             return True
         u = free[idx]
-        for x in range(g2.n):
-            if x in used or len(adj2[x]) != len(adj1[u]) or not attr_ok(u, x):
+        for x in targets:
+            if x in used or deg2[x] != deg1[u] or not attr_ok(u, x):
                 continue
             ok = True
             for w, img in mapping.items():

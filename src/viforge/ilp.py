@@ -114,20 +114,3 @@ def optimize(inst: IlpInstance) -> Optional[tuple]:
     x, val = got
     return x, (val if sense == "min" else -val)
 
-
-def debug_dump(inst: IlpInstance) -> str:
-    """Readable listing, one bound or constraint per line."""
-    lines = []
-    if inst.objective is not None:
-        coeffs, sense = inst.objective
-        lines.append(f"{sense} " + _linear(coeffs))
-    for j, (a, b) in enumerate(inst.bounds):
-        lines.append(f"{a} <= x{j} <= {b}")
-    for (coeffs, rel, rhs) in inst.constraints:
-        lines.append(f"{_linear(coeffs)} {rel} {rhs}")
-    return "\n".join(lines)
-
-
-def _linear(coeffs) -> str:
-    terms = [f"{c:+d}*x{j}" for j, c in enumerate(coeffs) if c != 0]
-    return " ".join(terms) if terms else "0"

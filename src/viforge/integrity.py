@@ -7,7 +7,7 @@ and exploit that what remains splits into pieces of bounded size.
 
 from dataclasses import dataclass
 
-from .graphs import Graph, components
+from .graphs import Graph, components, split
 
 
 @dataclass(frozen=True)
@@ -30,11 +30,13 @@ class ViSet:
 def vi_k_set(g: Graph, k: int):
     """A vi(k)-set of g, or None when none exists.
 
-    Branching search: while some component C of G - S is too big, grow a
-    connected probe T of k - |S| + 1 vertices inside C (breadth-first from
-    C's smallest vertex, neighbours in index order) and branch on which probe
-    vertex joins S.  Any vi(k)-set extending S must hit T, so the branching
-    is exhaustive; branches die once |S| exceeds k.
+    Branching search: while some component C of G - S is too big (the
+    first in smallest-vertex order), grow a connected probe T of
+    k - |S| + 1 vertices inside C (breadth-first from C's smallest vertex,
+    neighbours in index order) and branch on which probe vertex joins S.
+    Any vi(k)-set extending S must hit T, so the branching is exhaustive;
+    branches die once |S| exceeds k.  G is split once; a branch re-splits
+    only the component it took a vertex from.
     """
     if k < 1:
         if g.n == 0 and k == 0:
@@ -42,19 +44,12 @@ def vi_k_set(g: Graph, k: int):
         return None
     adj = g.adjacency()
 
-    def offending(s):
-        for comp in components(g, s):
-            if len(s) + len(comp) > k:
-                return comp
-        return None
-
-    def probe(comp, s):
+    def probe(comp, in_comp, s):
         want = k - len(s) + 1
         start = comp[0]
         order = [start]
         seen = {start}
         i = 0
-        in_comp = set(comp)
         while len(order) < want and i < len(order):
             u = order[i]
             i += 1
@@ -66,19 +61,26 @@ def vi_k_set(g: Graph, k: int):
                         break
         return order
 
-    def branch(s):
-        comp = offending(s)
-        if comp is None:
+    def branch(s, comps):
+        # comps: the components of G - S, ordered by smallest vertex
+        room = k - len(s)
+        for at, comp in enumerate(comps):
+            if len(comp) > room:
+                break
+        else:
             return sorted(s)
-        if len(s) >= k:
+        if room <= 0:
             return None
-        for v in probe(comp, s):
-            got = branch(s | {v})
+        in_comp = set(comp)
+        rest = comps[:at] + comps[at + 1:]
+        for v in probe(comp, in_comp, s):
+            pieces = split(adj, in_comp - {v})
+            got = branch(s | {v}, sorted(rest + pieces))
             if got is not None:
                 return got
         return None
 
-    got = branch(set())
+    got = branch(set(), components(g))
     if got is None:
         return None
     return ViSet(tuple(got), k)
@@ -100,25 +102,32 @@ def vertex_integrity(g: Graph):
 
 def cover_at_most(edges, k):
     """A vertex cover of the edge set ``edges`` with at most k vertices,
-    or None: branch on the endpoints of the smallest edge."""
-    if not edges:
-        return set()
-    if k == 0:
-        return None
-    (u, v) = min(edges)
-    for pick in (u, v):
-        rest = {e for e in edges if pick not in e}
-        got = cover_at_most(rest, k - 1)
-        if got is not None:
-            got.add(pick)
-            return got
-    return None
+    or None: branch on the endpoints of the smallest uncovered edge."""
+    order = sorted(edges)
+    picks = set()
+
+    def branch(i, budget):
+        # every edge before order[i] has an endpoint in picks
+        while i < len(order) and (order[i][0] in picks or order[i][1] in picks):
+            i += 1
+        if i == len(order):
+            return True
+        if budget == 0:
+            return False
+        for pick in order[i]:
+            picks.add(pick)
+            if branch(i + 1, budget - 1):
+                return True
+            picks.discard(pick)
+        return False
+
+    return picks if branch(0, k) else None
 
 
 def vertex_cover_min(g: Graph) -> list:
     """A minimum vertex cover via bounded edge branching."""
     for k in range(g.n + 1):
-        got = cover_at_most(set(g.edges), k)
+        got = cover_at_most(g.edges, k)
         if got is not None:
             return sorted(got)
     raise AssertionError("V itself always covers")

@@ -11,7 +11,7 @@ from itertools import combinations, product
 from math import ceil
 
 from ..graphs import anchored_isomorphic  # noqa: F401  (perfbench wraps this binding)
-from ..graphs import components, is_connected_subset
+from ..graphs import components, is_connected_subset, split
 from ..ilp import IlpInstance, feasible
 from ..integrity import vertex_integrity
 from ..typesys import classify_detailed, component_map, labelled_code
@@ -444,7 +444,43 @@ def _ecp_try_representation(g, s_list, groups, mu_lists, combo, s_classes, targe
     return [sorted(p) for p in parts]
 
 
+def _part_counts(g, comp, hi, lo):
+    """Every (p, q) such that ``comp`` splits into p connected parts of
+    ``hi`` vertices and q of ``lo`` (lo >= 1)."""
+    out = []
+    for p in range(len(comp) // hi + 1):
+        q, rem = divmod(len(comp) - p * hi, lo)
+        if not rem and _sized_partition(g, comp, [hi] * p + [lo] * q) is not None:
+            out.append((p, q))
+    return out
+
+
 def _ecp_case2(g, r, s_list, hi, lo, b):
+    # every candidate W holds S, so G - W is G - S with the components
+    # W meets split again; the (p, q) options of each component are
+    # found once per call
+    adj = g.adjacency()
+    base = [(tuple(comp), _part_counts(g, comp, hi, lo))
+            for comp in components(g, set(s_list))]
+    owner = {v: i for i, (comp, _) in enumerate(base) for v in comp}
+    counts = {}
+
+    def rest_options(w):
+        """(component, options) for G - W in smallest-vertex order, or
+        None when a component has no option."""
+        touched = {owner[v] for v in w if v in owner}
+        out = [item for i, item in enumerate(base) if i not in touched]
+        for i in touched:
+            for piece in split(adj, set(base[i][0]) - w):
+                piece = tuple(piece)
+                if piece not in counts:
+                    counts[piece] = _part_counts(g, piece, hi, lo)
+                out.append((piece, counts[piece]))
+        if not all(opts for _, opts in out):
+            return None
+        out.sort()
+        return out
+
     for touching in range(min(len(s_list), r) + 1):
         for big in range(0, min(touching, b) + 1):
             if b - big > r - touching:
@@ -454,29 +490,8 @@ def _ecp_case2(g, r, s_list, hi, lo, b):
                 continue
             for s_parts in _ecp_separator_parts(g, s_list, sizes):
                 w = set().union(*s_parts) if s_parts else set()
-                comp_opts = []
-                feasible_all = True
-                for comp in components(g, w):
-                    opts = []
-                    for p in range(len(comp) // hi + 1):
-                        rem = len(comp) - p * hi
-                        if rem < 0:
-                            continue
-                        if lo == 0:
-                            if rem:
-                                continue
-                            q = 0
-                        else:
-                            if rem % lo:
-                                continue
-                            q = rem // lo
-                        if _sized_partition(g, comp, [hi] * p + [lo] * q) is not None:
-                            opts.append((p, q))
-                    if not opts:
-                        feasible_all = False
-                        break
-                    comp_opts.append((comp, opts))
-                if not feasible_all:
+                comp_opts = rest_options(w)
+                if comp_opts is None:
                     continue
                 target = (b - big, (r - touching) - (b - big))
                 pickings = _pair_dp(comp_opts, target)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from ._kernels import min_anchored_code
-from .graphs import Graph, anchored_isomorphic, components, edge_key, induced
+from .graphs import Graph, anchored_search, components, edge_key
 
 MODES = ("plain", "capacity", "color")
 
@@ -141,15 +141,15 @@ def component_map(g: Graph, s_list, rep, comp, mode) -> dict:
     if comp == rep:
         phi.update((v, v) for v in rep)
         return phi
-    sub1, m1 = induced(g, s_list + rep)
-    sub2, m2 = induced(g, s_list + comp)
-    iso = anchored_isomorphic(sub1, sub2, [m1[s] for s in s_list], [m2[s] for s in s_list],
-                              respect_capacities=mode == "capacity",
-                              respect_colors=mode == "color")
+    order = s_list + rep + comp
+    attrs = dict(zip(order, _attr_vector(g, order, mode)))
+    s_set = set(s_list)
+    adj = g.adjacency()
+    iso = anchored_search(adj, adj, s_set.union(rep), s_set.union(comp), s_list, s_list,
+                          lambda u, x: attrs[u] == attrs[x])
     if iso is None:
         raise RuntimeError("components of equal type must be isomorphic")
-    back = {x: v for v, x in m2.items()}
-    phi.update((v, back[iso[m1[v]]]) for v in rep)
+    phi.update((v, iso[v]) for v in rep)
     return phi
 
 

@@ -1,9 +1,11 @@
 import random
 from itertools import combinations
+from math import ceil
 
 from hypothesis import given, settings, strategies as st
 
-from viforge.graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph
+from viforge.graphs import Graph, complete_graph, components, cycle_graph, path_graph, star_graph
+from viforge.integrity import vertex_integrity
 from viforge.oracles import (
     oracle_ecp,
     oracle_eqcoloring,
@@ -206,17 +208,76 @@ def test_connected_sets_match_filtered_combinations():
 def test_ecp_without_a_partition_grows_parts_instead_of_filtering(tmp_path, capsys,
                                                                   monkeypatch):
     # one separator vertex and parts of 8-9 vertices: filtering every
-    # 9-subset made 1,562,275 connectivity checks here
+    # 9-subset made 1,562,275 connectivity checks here, and splitting
+    # G minus each of the 6435 candidate parts as a whole graph made as
+    # many component splits
     assert run(["gen", "random-vi", "--seed", "1", "--n", "26", "--k", "2"]) == 0
     path = tmp_path / "g.txt"
     path.write_text(capsys.readouterr().out)
-    calls = []
-    real = coloring.is_connected_subset
+    calls = {"is_connected_subset": 0, "components": 0}
 
-    def counted(g, vs):
-        calls.append(1)
-        return real(g, vs)
+    def counted(name):
+        real = getattr(coloring, name)
 
-    monkeypatch.setattr(coloring, "is_connected_subset", counted)
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(coloring, name, counted(name))
     assert run(["solve", "ecp", str(path), "--r", "3"]) == EXIT_NO
-    assert len(calls) <= 1000
+    assert calls["is_connected_subset"] <= 1000
+    assert calls["components"] <= 5
+
+
+def _reference_ecp_case2(g, r, s_list, hi, lo, b):
+    """ecp with more parts than the separator budget, splitting the whole
+    of G - W for every candidate separator part W."""
+    for touching in range(min(len(s_list), r) + 1):
+        for big in range(0, min(touching, b) + 1):
+            if b - big > r - touching or (s_list and touching == 0):
+                continue
+            sizes = [hi] * big + [lo] * (touching - big)
+            for s_parts in coloring._ecp_separator_parts(g, s_list, sizes):
+                w = set().union(*s_parts) if s_parts else set()
+                comp_opts = []
+                for comp in components(g, w):
+                    opts = [(p, (len(comp) - p * hi) // lo) for p in range(len(comp) // hi + 1)
+                            if (len(comp) - p * hi) % lo == 0
+                            and coloring._sized_partition(
+                                g, comp, [hi] * p + [lo] * ((len(comp) - p * hi) // lo))
+                            is not None]
+                    if not opts:
+                        break
+                    comp_opts.append((comp, opts))
+                else:
+                    pickings = coloring._pair_dp(comp_opts, (b - big, r - touching - (b - big)))
+                    if pickings is None:
+                        continue
+                    big_parts = [sorted(p) for p in s_parts[:big]]
+                    small_parts = [sorted(p) for p in s_parts[big:]]
+                    for (comp, _), (p, q) in zip(comp_opts, pickings):
+                        got = coloring._sized_partition(g, comp, [hi] * p + [lo] * q)
+                        if hi == lo:
+                            small_parts.extend(sorted(part) for (_, part) in got)
+                        else:
+                            big_parts.extend(sorted(part) for (s, part) in got if s == hi)
+                            small_parts.extend(sorted(part) for (s, part) in got if s == lo)
+                    return big_parts + small_parts
+    return None
+
+
+def test_ecp_case2_equals_splitting_the_whole_graph_for_every_part():
+    rng = random.Random(1)
+    answered = 0
+    for _ in range(130):
+        g = rand_vi_graph(rng, rng.randint(4, 16), rng.randint(2, 4))
+        k, vis = vertex_integrity(g)
+        s_list = sorted(vis.separator)
+        for r in range(k + 1, g.n):
+            args = (g, r, s_list, ceil(g.n / r), g.n // r, g.n % r)
+            got = coloring._ecp_case2(*args)
+            assert got == _reference_ecp_case2(*args), (g, r)
+            answered += got is not None
+    assert answered >= 200

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import viforge
+from viforge import cli
 from viforge.cli import EXIT_NO, EXIT_PRECONDITION, EXIT_USAGE, EXIT_YES, run
 from viforge.graphs import Graph
 from viforge.oracles import oracle_imbalance
@@ -23,7 +24,7 @@ from viforge.instances import (
     parse_text,
     serialize,
 )
-from viforge.integrity import vertex_cover_min, vertex_integrity
+from viforge.integrity import ViSet, vertex_cover_min, vertex_integrity
 from viforge.reductions import BinPackingInstance, ThreeDMInstance
 
 
@@ -376,6 +377,24 @@ class TestCliGenParams:
         assert rec["vi"] == 3 and rec["vc"] == 2
         assert sum(t["count"] for t in rec["types"]) == 2
         assert rec["separator"] is not None
+
+    def test_params_searches_each_k_once(self, tmp_path, capsys, monkeypatch):
+        assert run(["gen", "random-vi", "--seed", "4", "--n", "14", "--k", "4"]) == EXIT_YES
+        path = _write(tmp_path, "g.txt", capsys.readouterr().out)
+        g = parse(path).graph
+        calls = []
+        real = cli.vi_k_set
+
+        def counted(g, k):
+            calls.append(k)
+            return real(g, k)
+
+        monkeypatch.setattr(cli, "vi_k_set", counted)
+        assert run(["params", path]) == EXIT_YES
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["vi"] == vertex_integrity(g)[0] >= 3
+        assert calls == list(range(1, rec["vi"] + 1))
+        assert ViSet(tuple(rec["separator"]), rec["vi"]).check(g)
 
 
 class TestCliVerify:

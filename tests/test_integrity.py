@@ -3,10 +3,10 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from viforge.graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph, components
-from viforge.integrity import ViSet, vertex_cover_min, vertex_integrity, vi_k_set
+from viforge.integrity import ViSet, cover_at_most, vertex_cover_min, vertex_integrity, vi_k_set
 from viforge.oracles import oracle_vertex_integrity, oracle_vertex_cover
 
-from conftest import BIG_BUDGET, rand_graph
+from conftest import BIG_BUDGET, rand_graph, rand_vi_graph
 
 
 def test_seven_path_needs_four():
@@ -97,3 +97,97 @@ def test_witness_components_are_small():
         assert len(s) <= k
         for comp in components(g, s):
             assert len(s) + len(comp) <= k
+
+
+def _reference_vi_k_set(g, k):
+    """The vi(k)-set branching with G - S split afresh at every branch."""
+    adj = g.adjacency()
+
+    def probe(comp, s):
+        want = k - len(s) + 1
+        order = [comp[0]]
+        i = 0
+        while len(order) < want and i < len(order):
+            u = order[i]
+            i += 1
+            for w in sorted(adj[u]):
+                if w in comp and w not in order:
+                    order.append(w)
+                    if len(order) == want:
+                        break
+        return order
+
+    def branch(s):
+        comp = next((c for c in components(g, s) if len(s) + len(c) > k), None)
+        if comp is None:
+            return sorted(s)
+        if len(s) >= k:
+            return None
+        for v in probe(comp, s):
+            got = branch(s | {v})
+            if got is not None:
+                return got
+        return None
+
+    got = branch(set())
+    return None if got is None else ViSet(tuple(got), k)
+
+
+# Forests of two or three sparse trees on shuffled labels where, at some
+# branch, more than one component is too big: taking them out of
+# smallest-vertex order finds another separator here.
+_SEVERAL_OFFENDING = (
+    Graph(19, {(0, 13), (1, 5), (1, 14), (2, 5), (3, 14), (3, 18), (4, 12), (5, 18), (6, 10),
+               (6, 15), (7, 11), (8, 9), (8, 15), (9, 10), (10, 15), (11, 15), (11, 17),
+               (12, 14), (13, 16)}),
+    Graph(13, {(0, 1), (0, 5), (0, 10), (1, 2), (1, 3), (3, 5), (3, 6), (4, 12), (6, 10),
+               (7, 8), (7, 9), (7, 12), (8, 11)}),
+)
+
+
+def test_vi_k_set_equals_splitting_the_whole_graph_at_every_branch():
+    rng = random.Random(11)
+    found = 0
+    graphs = list(_SEVERAL_OFFENDING)
+    for _ in range(150):
+        if rng.random() < 0.5:
+            graphs.append(rand_vi_graph(rng, rng.randint(1, 30), rng.randint(1, 4)))
+        else:
+            graphs.append(rand_graph(rng, rng.randint(1, 10), p=rng.choice([0.15, 0.3, 0.5])))
+    for g in graphs:
+        vi = vertex_integrity(g)[0]
+        for k in (vi - 1, vi, vi + 1):
+            if k >= 1:
+                got = vi_k_set(g, k)
+                assert got == _reference_vi_k_set(g, k), (g, k)
+                found += got is not None
+    assert found >= 250
+
+
+def _reference_cover(edges, k):
+    """Vertex cover branching that copies the edge set at every pick."""
+    if not edges:
+        return set()
+    if k == 0:
+        return None
+    (u, v) = min(edges)
+    for pick in (u, v):
+        got = _reference_cover({e for e in edges if pick not in e}, k - 1)
+        if got is not None:
+            got.add(pick)
+            return got
+    return None
+
+
+def test_cover_at_most_equals_the_copying_recursion():
+    rng = random.Random(3)
+    covers = 0
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        edges = {(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < rng.choice([0.1, 0.25, 0.5])}
+        for k in range(7):
+            got = cover_at_most(edges, k)
+            assert got == _reference_cover(set(edges), k), (edges, k)
+            covers += got is not None
+    assert covers >= 1000

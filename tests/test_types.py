@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from viforge.graphs import Graph, components, path_graph, star_graph
+from viforge.graphs import Graph, anchored_isomorphic, components, induced, path_graph, star_graph
 from viforge.integrity import vertex_integrity
 from viforge.typesys import (
     MODES,
@@ -246,6 +246,88 @@ def test_component_map_carries_rep_onto_every_component_of_its_type():
     # the seeds must reach non-identity maps and same-size pairs of
     # different types, or the checks above prove little
     assert mapped >= 100 and refused >= 100
+
+
+def _reference_isomorphic(g1, g2, anchors1, anchors2, respect_capacities, respect_colors):
+    """Anchored isomorphism search over two whole graphs, as it ran on
+    induced copies before the search worked in place; the reference for
+    ``anchored_isomorphic`` and ``component_map``."""
+    if g1.n != g2.n or g1.m != g2.m:
+        return None
+    adj1 = g1.adjacency()
+    adj2 = g2.adjacency()
+
+    def attr_ok(u, x):
+        if respect_capacities and g1.capacities[u] != g2.capacities[x]:
+            return False
+        if respect_colors and g1.colors[u] != g2.colors[x]:
+            return False
+        return True
+
+    mapping = {}
+    used = set()
+    for a, b in zip(anchors1, anchors2):
+        if len(adj1[a]) != len(adj2[b]) or not attr_ok(a, b):
+            return None
+        mapping[a] = b
+        used.add(b)
+    for i, a in enumerate(anchors1):
+        for a2 in anchors1[i + 1:]:
+            if g1.has_edge(a, a2) != g2.has_edge(mapping[a], mapping[a2]):
+                return None
+    free = sorted((v for v in range(g1.n) if v not in mapping), key=lambda v: (-len(adj1[v]), v))
+
+    def extend(idx):
+        if idx == len(free):
+            return True
+        u = free[idx]
+        for x in range(g2.n):
+            if x in used or len(adj2[x]) != len(adj1[u]) or not attr_ok(u, x):
+                continue
+            if all((w in adj1[u]) == (img in adj2[x]) for w, img in mapping.items()):
+                mapping[u] = x
+                used.add(x)
+                if extend(idx + 1):
+                    return True
+                del mapping[u]
+                used.discard(x)
+        return False
+
+    return dict(mapping) if extend(0) else None
+
+
+def test_component_map_equals_the_search_on_induced_copies():
+    compared = refused = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        g = rand_vi_graph(rng, rng.randint(4, 14), rng.randint(2, 5))
+        g = with_colors(rng, with_caps(rng, g, by_degree=False), 2)
+        s_list = sorted(vertex_integrity(g)[1].separator)
+        rng.shuffle(s_list)
+        for mode in MODES:
+            groups = classify_detailed(g, s_list, mode)
+            flags = {"respect_capacities": mode == "capacity", "respect_colors": mode == "color"}
+            for _, comps in groups:
+                rep = comps[0]
+                sub1, m1 = induced(g, s_list + rep)
+                anchors1 = [m1[s] for s in s_list]
+                # every member of the group, and one component of each
+                # other group that no map reaches
+                for comp in comps + [cs[0] for _, cs in groups if cs[0] not in comps]:
+                    sub2, m2 = induced(g, s_list + comp)
+                    anchors2 = [m2[s] for s in s_list]
+                    want = _reference_isomorphic(sub1, sub2, anchors1, anchors2, **flags)
+                    assert anchored_isomorphic(sub1, sub2, anchors1, anchors2, **flags) == want
+                    if want is None:
+                        with pytest.raises(RuntimeError):
+                            component_map(g, s_list, rep, comp, mode)
+                        refused += 1
+                        continue
+                    back = {x: v for v, x in m2.items()}
+                    expect = {v: v if comp == rep else back[want[m1[v]]] for v in s_list + rep}
+                    assert component_map(g, s_list, rep, comp, mode) == expect
+                    compared += comp != rep
+    assert compared >= 300 and refused >= 300
 
 
 def test_component_map_rejects_unknown_mode():
