@@ -8,10 +8,10 @@ record per instance.
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import oracles
 from .graphs import Graph, edge_key
@@ -283,7 +283,12 @@ def _oracle_generic(problem, insts, paths, r, balanced):
 
 
 def _record_worker(mode, problem, paths, r, balanced):
-    """Parse, solve and package one invocation; never raises."""
+    """Parse, solve and package one invocation.
+
+    Parse, usage, precondition, budget and ``ValueError`` failures come
+    back as ``{"ok": False, ...}`` records with their exit code; any other
+    exception a solver raises (a ``RuntimeError`` or ``AssertionError``,
+    say) propagates and ends the batch."""
     started = time.perf_counter()
     try:
         insts = [parse(p) for p in paths]
@@ -354,6 +359,8 @@ def _run_batch(mode, args):
         jobs = [[p] for p in args.files]
     balanced = getattr(args, "balanced", False)
     if args.threads > 1 and len(jobs) > 1:
+        # imported here, so that calls without a pool do not pay for the import
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.threads) as pool:
             results = list(pool.map(_record_worker, [mode] * len(jobs),
                                     [problem] * len(jobs), jobs,
@@ -622,6 +629,7 @@ def _add_batch_options(p, problems):
 
 
 def build_parser():
+    """A fresh argument parser for the ``viforge`` command line."""
     top = argparse.ArgumentParser(
         prog="viforge",
         description="Exact solvers, enumeration oracles and hardness-instance "
@@ -667,8 +675,17 @@ def build_parser():
     return top
 
 
+@functools.cache
+def _shared_parser():
+    """The parser ``run`` uses, built on the first call and then reused.
+
+    ``parse_args`` does not change a built parser and gives every parse a
+    fresh namespace, so one call's options cannot leak into the next."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     if args.command == "solve":
         return _run_batch("solve", args)
     if args.command == "oracle":

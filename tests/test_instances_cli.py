@@ -446,6 +446,84 @@ class TestCliParallel:
         capsys.readouterr()
 
 
+def _without_wall_time(text):
+    """stdout lines, with ``wall_time_s`` dropped from JSON records."""
+    lines = []
+    for line in text.splitlines():
+        if line.startswith("{"):
+            rec = json.loads(line)
+            rec.pop("wall_time_s", None)
+            line = json.dumps(rec)
+        lines.append(line)
+    return lines
+
+
+def _run_each(argvs, capsys):
+    """(exit code, stdout lines without wall times, stderr) of run(argv) for
+    each argv in turn; a parse failure gives its SystemExit code."""
+    got = []
+    for argv in argvs:
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        got.append((code, _without_wall_time(out), err))
+    return got
+
+
+class TestCliReuse:
+    """``run`` keeps one parser per process; no call may see another's."""
+
+    def test_run_builds_the_parser_once_per_process(self, k2, star, capsys,
+                                                    monkeypatch):
+        built = []
+        real = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._shared_parser.cache_clear()
+        for _ in range(3):
+            assert run(["solve", "imbalance", k2, "--json"]) == EXIT_YES
+            assert run(["oracle", "eqcol", star, "--r", "4"]) == EXIT_YES
+            assert run(["gen", "random-vi", "--seed", "1"]) == EXIT_YES
+            with pytest.raises(SystemExit):
+                run(["solve", "nope", k2])
+        capsys.readouterr()
+        assert built == [1]
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_options_do_not_leak_between_calls(self, star, p4, tmp_path,
+                                               capsys, monkeypatch):
+        # three items: a partition exists, a balanced one cannot
+        pt = _write(tmp_path, "pt.txt", "pt 3\na 1\na 1\na 2\n")
+        assert run(["oracle", "partition", pt, "--json"]) == EXIT_YES
+        side = _write(tmp_path, "side.json", capsys.readouterr().out)
+        argvs = [
+            ["solve", "eqcol", star, "--r", "2", "--json"],
+            ["solve", "imbalance", p4],
+            ["oracle", "partition", pt, "--balanced"],
+            ["verify", "partition", pt, side],
+            ["params", p4, "--max-k", "3"],
+            ["gen", "random-vi", "--seed", "2", "--n", "6", "--k", "2"],
+            ["solve", "eqcol", star, "--colours", "2"],
+            ["solve", "eqcol", star, "--json"],
+            ["params", star],
+        ]
+        shared = _run_each(argvs, capsys)
+        monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+        fresh = _run_each(argvs, capsys)
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [
+            EXIT_NO, EXIT_YES, EXIT_NO, EXIT_YES, EXIT_YES, EXIT_YES,
+            EXIT_USAGE, EXIT_USAGE, EXIT_YES]
+        assert "needs --r" in shared[7][2]
+        assert json.loads(shared[8][1][0])["search_limit"] == 8
+
+
 def _run_declared_entry_point(*args):
     """Run ``[project.scripts] viforge`` from pyproject.toml in a fresh
     interpreter the way pip's wrapper script does, so no install is needed.

@@ -117,3 +117,13 @@ def test_cli_import_loads_no_numpy_or_numba():
                          timeout=60, env={**os.environ, "PYTHONPATH": path})
     assert got.returncode == 0, got.stderr
     assert got.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_process_pool():
+    src = str(Path(viforge.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, viforge.cli; print('concurrent.futures.process' in sys.modules)"
+    got = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         timeout=60, env={**os.environ, "PYTHONPATH": path})
+    assert got.returncode == 0, got.stderr
+    assert got.stdout.strip() == "False"
