@@ -4,7 +4,8 @@ Subcommands: solve, oracle, reduce, gen, params, verify.  Decision
 results double as exit codes (0 yes / optimum found, 1 no / infeasible,
 2 usage or parse error, 3 precondition violated), so shell harnesses can
 branch on them directly.  ``--json`` switches output to one result
-record per instance.
+record per instance.  Each problem that solve, oracle and verify accept
+is one row of ``PROBLEMS``.
 """
 
 import argparse
@@ -12,6 +13,8 @@ import functools
 import json
 import sys
 import time
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 from . import oracles
 from .graphs import Graph, edge_key
@@ -38,9 +41,6 @@ EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 
-_NEEDS_R = {"prece", "eqcol", "ecp", "mmoo"}
-_TWO_GRAPH = {"mcs", "mcis"}
-
 
 class UsageError(ValueError):
     pass
@@ -52,6 +52,10 @@ def _graph_of(inst, path):
     if not isinstance(inst, GraphInstance):
         raise UsageError(f"{path} is not a graph instance")
     return inst
+
+
+def _graph(inst, path):
+    return _graph_of(inst, path).graph
 
 
 def _unit_weighted(g: Graph) -> Graph:
@@ -78,8 +82,13 @@ def _motif_of(inst, path):
     return MotifInstance(gi.graph, gi.motif)
 
 
-def _edge_pairs(edges):
-    return [[u, v] for (u, v) in sorted(edges)]
+def _source(kind, label):
+    """Reader that accepts only a numeric source of class ``kind``."""
+    def read(inst, path):
+        if not isinstance(inst, kind):
+            raise UsageError(f"{path} is not a {label} source")
+        return inst
+    return read
 
 
 def _bounded_params(g: Graph, limit=8):
@@ -102,185 +111,219 @@ def _bounded_params(g: Graph, limit=8):
     return report
 
 
-# ------------------------------------------------------------------- solve
+# ------------------------------------------------------- certificate shapes
+#
+# An encoder turns an answer other than None into (value, certificate);
+# the ``verify`` entries below decode what it wrote.
 
-def _solve_generic(problem, insts, paths, r):
-    """(answer, value, certificate) for one solve invocation."""
-    if problem in _TWO_GRAPH:
-        g1 = _graph_of(insts[0], paths[0]).graph
-        g2 = _graph_of(insts[1], paths[1]).graph
-        fn = mcs_vi if problem == "mcs" else mcis_vi
-        value, mapping = fn(g1, g2)
-        return True, value, {"mapping": {str(u): w for u, w in sorted(mapping.items())}}
-    inst = insts[0]
-    path = paths[0]
-    if problem == "imbalance":
-        g = _graph_of(inst, path).graph
-        value, ordering = imbalance_vi(g)
-        return True, value, {"ordering": ordering}
-    if problem == "cvc":
-        got = cvc_vi(_graph_of(inst, path).graph)
-        if got is None:
-            return False, None, None
-        size, cover, assignment = got
-        return True, size, {
-            "cover": cover,
-            "assignment": {f"{u} {v}": w for (u, v), w in sorted(assignment.items())},
-        }
-    if problem == "cds":
-        got = cds_vi(_graph_of(inst, path).graph)
-        if got is None:
-            return False, None, None
-        size, chosen, assignment = got
-        return True, size, {
-            "set": chosen,
-            "assignment": {str(v): w for v, w in sorted(assignment.items())},
-        }
-    if problem == "prece":
-        gi = _graph_of(inst, path)
-        coloring = precoloring_extension_vi(gi.graph, gi.precolor or {}, r)
-        if coloring is None:
-            return False, None, None
-        return True, None, {"coloring": {str(v): c for v, c in sorted(coloring.items())}}
-    if problem == "eqcol":
-        coloring = equitable_coloring_vi(_graph_of(inst, path).graph, r)
-        if coloring is None:
-            return False, None, None
-        return True, None, {"coloring": {str(v): c for v, c in sorted(coloring.items())}}
-    if problem == "ecp":
-        parts = equitable_connected_partition_vi(_graph_of(inst, path).graph, r)
-        if parts is None:
-            return False, None, None
-        return True, None, {"parts": parts}
-    if problem == "motif":
-        found = graph_motif_vi3(_motif_of(inst, path))
-        if found is None:
-            return False, None, None
-        return True, None, {"vertices": found}
-    if problem == "mmoo":
-        orientation = binary_mmoo_vc2(_graph_of(inst, path).graph, r)
-        if orientation is None:
-            return False, None, None
-        pairs = [list(orientation[e]) for e in sorted(orientation)]
-        return True, None, {"orientation": pairs}
-    if problem == "sf":
-        got = steiner_forest_xp_vc(_steiner_of(inst, path))
-        if got is None:
-            return False, None, None
-        weight, edges = got
-        return True, weight, {"edges": _edge_pairs(edges)}
-    if problem == "usf":
-        got = usf_solve(_steiner_of(inst, path, unit=True))
-        if got is None:
-            return False, None, None
-        count, edges = got
-        return True, count, {"edges": _edge_pairs(edges)}
-    raise UsageError(f"unknown problem `{problem}`")
+def _str_keys(d):
+    return {str(k): v for k, v in sorted(d.items())}
 
 
-def _oracle_generic(problem, insts, paths, r, balanced):
-    if problem in _TWO_GRAPH:
-        g1 = _graph_of(insts[0], paths[0]).graph
-        g2 = _graph_of(insts[1], paths[1]).graph
-        fn = oracles.oracle_mcs if problem == "mcs" else oracles.oracle_mcis
-        value, mapping = fn(g1, g2)
-        return True, value, {"mapping": {str(u): w for u, w in sorted(mapping.items())}}
-    inst = insts[0]
-    path = paths[0]
-    if problem == "bp":
-        if not isinstance(inst, BinPackingInstance):
-            raise UsageError(f"{path} is not a bin packing source")
-        bins = oracles.oracle_bin_packing(inst.items, inst.t)
-        return (True, None, {"bins": bins}) if bins is not None else (False, None, None)
-    if problem == "partition":
-        if not isinstance(inst, PartitionInstance):
-            raise UsageError(f"{path} is not a partition source")
-        side = oracles.oracle_partition(inst.items, balanced=balanced)
-        return (True, None, {"side": side}) if side is not None else (False, None, None)
-    if problem == "3dm":
-        if not isinstance(inst, ThreeDMInstance):
-            raise UsageError(f"{path} is not a 3dm source")
-        chosen = oracles.oracle_3dm(inst.n, inst.triples)
-        if chosen is None:
-            return False, None, None
-        return True, None, {"triples": [list(tr) for tr in chosen]}
-    gi = _graph_of(inst, path)
-    g = gi.graph
-    if problem == "vi":
-        value, witness = oracles.oracle_vertex_integrity(g)
-        return True, value, {"separator": sorted(witness)}
-    if problem == "td":
-        return True, oracles.oracle_treedepth(g), None
-    if problem == "vc":
-        cover = oracles.oracle_vertex_cover(g)
-        return True, len(cover), {"cover": cover}
-    if problem == "imbalance":
-        value, ordering = oracles.oracle_imbalance(g)
-        return True, value, {"ordering": ordering}
-    if problem == "bandwidth":
-        value, ordering = oracles.oracle_bandwidth(g)
-        return True, value, {"ordering": ordering}
-    if problem == "cvc":
-        got = oracles.oracle_cvc(g)
-        if got is None:
-            return False, None, None
-        size, cover, assignment = got
-        return True, size, {
-            "cover": cover,
-            "assignment": {f"{u} {v}": w for (u, v), w in sorted(assignment.items())},
-        }
-    if problem == "cds":
-        got = oracles.oracle_cds(g)
-        if got is None:
-            return False, None, None
-        size, chosen, assignment = got
-        return True, size, {
-            "set": chosen,
-            "assignment": {str(v): w for v, w in sorted(assignment.items())},
-        }
-    if problem == "prece":
-        coloring = oracles.oracle_precoloring(g, gi.precolor or {}, r)
-        if coloring is None:
-            return False, None, None
-        return True, None, {"coloring": {str(v): c for v, c in sorted(coloring.items())}}
-    if problem == "eqcol":
-        coloring = oracles.oracle_eqcoloring(g, r)
-        if coloring is None:
-            return False, None, None
-        return True, None, {"coloring": {str(v): c for v, c in sorted(coloring.items())}}
-    if problem == "ecp":
-        parts = oracles.oracle_ecp(g, r)
-        if parts is None:
-            return False, None, None
-        return True, None, {"parts": parts}
-    if problem == "motif":
-        mi = _motif_of(inst, path)
-        found = oracles.oracle_motif(mi.graph, mi.motif)
-        if found is None:
-            return False, None, None
-        return True, None, {"vertices": found}
-    if problem == "mmoo":
-        orientation = oracles.oracle_mmoo(_unit_weighted(g), r)
-        if orientation is None:
-            return False, None, None
-        pairs = [list(orientation[e]) for e in sorted(orientation)]
-        return True, None, {"orientation": pairs}
-    if problem == "sf":
-        si = _steiner_of(inst, path)
-        got = oracles.oracle_steiner_forest(si.graph, si.terminals)
-        if got is None:
-            return False, None, None
-        weight, edges = got
-        return True, weight, {"edges": _edge_pairs(edges)}
-    if problem == "usf":
-        si = _steiner_of(inst, path, unit=True)
-        got = oracles.oracle_usf(si.graph, si.terminals)
-        if got is None:
-            return False, None, None
-        count, edges = got
-        return True, count, {"edges": _edge_pairs(edges)}
-    raise UsageError(f"unknown problem `{problem}`")
+def _int_keys(d):
+    return {int(k): v for k, v in d.items()}
 
+
+def _edge_pairs(edges):
+    return [[u, v] for (u, v) in sorted(edges)]
+
+
+def _tuple_edges(pairs):
+    return [edge_key(int(u), int(v)) for (u, v) in pairs]
+
+
+def _valued(key, form=list):
+    """Encoder of a (value, witness) answer, the witness under ``key``."""
+    return lambda got: (got[0], {key: form(got[1])})
+
+
+def _witness(key, form=list):
+    """Encoder of a bare witness with no value, under ``key``."""
+    return lambda got: (None, {key: form(got)})
+
+
+def _assigned(key, names):
+    """Encoder of a (size, chosen, assignment) answer of the capacitated
+    problems; ``names`` gives the assignment JSON keys."""
+    return lambda got: (got[0], {key: got[1], "assignment": names(got[2])})
+
+
+def _edge_names(assignment):
+    return {f"{u} {v}": w for (u, v), w in sorted(assignment.items())}
+
+
+def _arcs(orientation):
+    return [list(orientation[e]) for e in sorted(orientation)]
+
+
+def _lists(tuples):
+    return [list(t) for t in tuples]
+
+
+def _verify_cvc(g, cert, value, opts):
+    assignment = {tuple(map(int, key.split())): w
+                  for key, w in cert["assignment"].items()}
+    if value is not None and len(cert["cover"]) != value:
+        return False
+    return oracles.verify_cvc(g, cert["cover"], assignment)
+
+
+def _verify_cds(g, cert, value, opts):
+    if value is not None and len(cert["set"]) != value:
+        return False
+    return oracles.verify_cds(g, cert["set"], _int_keys(cert["assignment"]))
+
+
+def _verify_mmoo(g, cert, value, opts):
+    orientation = {edge_key(t, h): (t, h)
+                   for (t, h) in (tuple(map(int, p)) for p in cert["orientation"])}
+    return oracles.verify_mmoo(_unit_weighted(g), opts.r, orientation)
+
+
+def _verify_forest(si, cert, value, opts):
+    return oracles.verify_steiner_forest(si.graph, si.terminals,
+                                         _tuple_edges(cert["edges"]), value)
+
+
+# ------------------------------------------------------------ problem table
+
+class Options(NamedTuple):
+    """The knobs of one run that table entries read."""
+    r: Optional[int]
+    balanced: bool
+
+
+@dataclass(frozen=True)
+class Problem:
+    """One row of ``PROBLEMS``.
+
+    ``read(instance, path)`` turns each of the ``arity`` parsed instance
+    files into an input.  ``solve`` and ``oracle`` take the inputs and the
+    ``Options`` and return an answer, None for "no", which ``encode`` turns
+    into (value, certificate).  ``verify`` takes the inputs, the
+    certificate, the claimed value and the ``Options``.  Entries look up
+    the functions they call when called, never before, so a wrapper set on
+    ``viforge.cli`` or ``viforge.oracles`` sees every call."""
+    read: Callable
+    encode: Callable
+    solve: Optional[Callable] = None
+    oracle: Optional[Callable] = None
+    verify: Optional[Callable] = None
+    arity: int = 1
+    needs_r: bool = False
+
+
+PROBLEMS = {
+    "vi": Problem(
+        _graph, _valued("separator", sorted),
+        oracle=lambda g, o: oracles.oracle_vertex_integrity(g),
+        verify=lambda g, c, value, o: oracles.verify_vi_set(
+            g, c["separator"], value)),
+    "td": Problem(
+        _graph, lambda value: (value, None),
+        oracle=lambda g, o: oracles.oracle_treedepth(g)),
+    "vc": Problem(
+        _graph, lambda cover: (len(cover), {"cover": cover}),
+        oracle=lambda g, o: oracles.oracle_vertex_cover(g)),
+    "imbalance": Problem(
+        _graph, _valued("ordering"),
+        solve=lambda g, o: imbalance_vi(g),
+        oracle=lambda g, o: oracles.oracle_imbalance(g),
+        verify=lambda g, c, value, o: oracles.verify_imbalance(
+            g, c["ordering"], value)),
+    "bandwidth": Problem(
+        _graph, _valued("ordering"),
+        oracle=lambda g, o: oracles.oracle_bandwidth(g),
+        verify=lambda g, c, value, o: oracles.verify_bandwidth(
+            g, c["ordering"], value)),
+    "mcs": Problem(
+        _graph, _valued("mapping", _str_keys), arity=2,
+        solve=lambda g1, g2, o: mcs_vi(g1, g2),
+        oracle=lambda g1, g2, o: oracles.oracle_mcs(g1, g2),
+        verify=lambda g1, g2, c, value, o: oracles.verify_mcs(
+            g1, g2, _int_keys(c["mapping"]), value)),
+    "mcis": Problem(
+        _graph, _valued("mapping", _str_keys), arity=2,
+        solve=lambda g1, g2, o: mcis_vi(g1, g2),
+        oracle=lambda g1, g2, o: oracles.oracle_mcis(g1, g2),
+        verify=lambda g1, g2, c, value, o: oracles.verify_mcis(
+            g1, g2, _int_keys(c["mapping"]), value)),
+    "cvc": Problem(
+        _graph, _assigned("cover", _edge_names),
+        solve=lambda g, o: cvc_vi(g),
+        oracle=lambda g, o: oracles.oracle_cvc(g),
+        verify=_verify_cvc),
+    "cds": Problem(
+        _graph, _assigned("set", _str_keys),
+        solve=lambda g, o: cds_vi(g),
+        oracle=lambda g, o: oracles.oracle_cds(g),
+        verify=_verify_cds),
+    "prece": Problem(
+        _graph_of, _witness("coloring", _str_keys), needs_r=True,
+        solve=lambda gi, o: precoloring_extension_vi(
+            gi.graph, gi.precolor or {}, o.r),
+        oracle=lambda gi, o: oracles.oracle_precoloring(
+            gi.graph, gi.precolor or {}, o.r),
+        verify=lambda gi, c, value, o: oracles.verify_precoloring(
+            gi.graph, gi.precolor or {}, o.r, _int_keys(c["coloring"]))),
+    "eqcol": Problem(
+        _graph, _witness("coloring", _str_keys), needs_r=True,
+        solve=lambda g, o: equitable_coloring_vi(g, o.r),
+        oracle=lambda g, o: oracles.oracle_eqcoloring(g, o.r),
+        verify=lambda g, c, value, o: oracles.verify_eqcoloring(
+            g, o.r, _int_keys(c["coloring"]))),
+    "ecp": Problem(
+        _graph, _witness("parts"), needs_r=True,
+        solve=lambda g, o: equitable_connected_partition_vi(g, o.r),
+        oracle=lambda g, o: oracles.oracle_ecp(g, o.r),
+        verify=lambda g, c, value, o: oracles.verify_ecp(g, o.r, c["parts"])),
+    "motif": Problem(
+        _motif_of, _witness("vertices"),
+        solve=lambda mi, o: graph_motif_vi3(mi),
+        oracle=lambda mi, o: oracles.oracle_motif(mi.graph, mi.motif),
+        verify=lambda mi, c, value, o: oracles.verify_motif(
+            mi.graph, mi.motif, c["vertices"])),
+    # solve needs the file's weights; oracle and verify give every edge
+    # weight 1 when the file has none
+    "mmoo": Problem(
+        _graph, _witness("orientation", _arcs), needs_r=True,
+        solve=lambda g, o: binary_mmoo_vc2(g, o.r),
+        oracle=lambda g, o: oracles.oracle_mmoo(_unit_weighted(g), o.r),
+        verify=_verify_mmoo),
+    "sf": Problem(
+        _steiner_of, _valued("edges", _edge_pairs),
+        solve=lambda si, o: steiner_forest_xp_vc(si),
+        oracle=lambda si, o: oracles.oracle_steiner_forest(si.graph, si.terminals),
+        verify=_verify_forest),
+    "usf": Problem(
+        functools.partial(_steiner_of, unit=True), _valued("edges", _edge_pairs),
+        solve=lambda si, o: usf_solve(si),
+        oracle=lambda si, o: oracles.oracle_usf(si.graph, si.terminals),
+        verify=_verify_forest),
+    "bp": Problem(
+        _source(BinPackingInstance, "bin packing"), _witness("bins"),
+        oracle=lambda bp, o: oracles.oracle_bin_packing(bp.items, bp.t),
+        verify=lambda bp, c, value, o: oracles.verify_bin_packing(
+            bp.items, bp.t, c["bins"])),
+    "partition": Problem(
+        _source(PartitionInstance, "partition"), _witness("side"),
+        oracle=lambda pt, o: oracles.oracle_partition(pt.items, balanced=o.balanced),
+        verify=lambda pt, c, value, o: oracles.verify_partition(
+            pt.items, c["side"], balanced=o.balanced)),
+    "3dm": Problem(
+        _source(ThreeDMInstance, "3dm"), _witness("triples", _lists),
+        oracle=lambda dm, o: oracles.oracle_3dm(dm.n, dm.triples),
+        verify=lambda dm, c, value, o: oracles.verify_3dm(
+            dm.n, dm.triples, [tuple(tr) for tr in c["triples"]])),
+}
+
+
+def _problems_with(entry):
+    """Names of the problems whose row has ``entry``, in table order."""
+    return [name for name, row in PROBLEMS.items() if getattr(row, entry)]
+
+
+# ------------------------------------------------------------ solve, oracle
 
 def _record_worker(mode, problem, paths, r, balanced):
     """Parse, solve and package one invocation.
@@ -292,15 +335,14 @@ def _record_worker(mode, problem, paths, r, balanced):
     started = time.perf_counter()
     try:
         insts = [parse(p) for p in paths]
-    except ParseError as exc:
+    except (ParseError, OSError) as exc:
         return {"ok": False, "error": str(exc), "code": EXIT_USAGE}
-    except OSError as exc:
-        return {"ok": False, "error": str(exc), "code": EXIT_USAGE}
+    row = PROBLEMS[problem]
     try:
-        if mode == "solve":
-            answer, value, cert = _solve_generic(problem, insts, paths, r)
-        else:
-            answer, value, cert = _oracle_generic(problem, insts, paths, r, balanced)
+        inputs = [row.read(inst, path) for inst, path in zip(insts, paths)]
+        got = getattr(row, mode)(*inputs, Options(r, balanced))
+        answer = got is not None
+        value, cert = row.encode(got) if answer else (None, None)
     except UsageError as exc:
         return {"ok": False, "error": str(exc), "code": EXIT_USAGE}
     except PreconditionError as exc:
@@ -346,12 +388,13 @@ def _emit(result, paths, as_json):
 
 def _run_batch(mode, args):
     problem = args.problem
-    if problem in _NEEDS_R and args.r is None:
+    row = PROBLEMS[problem]
+    if row.needs_r and args.r is None:
         print(f"error: `{problem}` needs --r", file=sys.stderr)
         return EXIT_USAGE
-    if problem in _TWO_GRAPH:
-        if len(args.files) != 2:
-            print(f"error: `{problem}` compares exactly two instance files",
+    if row.arity > 1:
+        if len(args.files) != row.arity:
+            print(f"error: `{problem}` compares exactly {row.arity} instance files",
                   file=sys.stderr)
             return EXIT_USAGE
         jobs = [list(args.files)]
@@ -487,19 +530,13 @@ def _run_params(args):
 
 # ------------------------------------------------------------------ verify
 
-def _tuple_edges(pairs):
-    return [edge_key(int(u), int(v)) for (u, v) in pairs]
-
-
-def _int_keys(d):
-    return {int(k): v for k, v in d.items()}
-
-
 def _run_verify(args):
+    problem = args.problem
+    row = PROBLEMS[problem]
     *instance_paths, cert_path = args.files
-    if not instance_paths:
-        print("error: verify needs instance file(s) and a certificate",
-              file=sys.stderr)
+    if len(instance_paths) != row.arity:
+        print(f"error: verify `{problem}` needs {row.arity} instance file(s) "
+              "followed by a certificate", file=sys.stderr)
         return EXIT_USAGE
     try:
         insts = [parse(p) for p in instance_paths]
@@ -510,12 +547,15 @@ def _run_verify(args):
         return EXIT_USAGE
     cert = loaded.get("certificate", loaded) if isinstance(loaded, dict) else loaded
     value = loaded.get("value") if isinstance(loaded, dict) else None
-    r = args.r
-    if r is None and isinstance(loaded, dict):
-        r = loaded.get("parameters", {}).get("k")
     try:
-        ok = _verify_generic(args.problem, insts, instance_paths, cert, value,
-                             r, args.balanced)
+        inputs = [row.read(inst, path) for inst, path in zip(insts, instance_paths)]
+        r = args.r
+        if r is None and isinstance(loaded, dict):
+            # a record whose `parameters` is not an object is malformed
+            r = loaded.get("parameters", {}).get("k")
+        if row.needs_r and r is None:
+            raise UsageError(f"`{problem}` needs --r")
+        ok = row.verify(*inputs, cert, value, Options(r, args.balanced))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -523,106 +563,19 @@ def _run_verify(args):
         print(f"invalid: malformed certificate ({exc!r})", file=sys.stderr)
         return EXIT_NO
     if ok:
-        print(f"{args.problem} certificate: valid")
+        print(f"{problem} certificate: valid")
         return EXIT_YES
-    print(f"{args.problem} certificate: INVALID")
+    print(f"{problem} certificate: INVALID")
     return EXIT_NO
-
-
-def _verify_generic(problem, insts, paths, cert, value, r, balanced):
-    if problem in _TWO_GRAPH:
-        if len(insts) != 2:
-            raise UsageError(f"`{problem}` needs two instance files")
-        g1 = _graph_of(insts[0], paths[0]).graph
-        g2 = _graph_of(insts[1], paths[1]).graph
-        mapping = _int_keys(cert["mapping"])
-        fn = oracles.verify_mcs if problem == "mcs" else oracles.verify_mcis
-        return fn(g1, g2, mapping, value)
-    inst = insts[0]
-    path = paths[0]
-    if problem == "bp":
-        if not isinstance(inst, BinPackingInstance):
-            raise UsageError(f"{path} is not a bin packing source")
-        return oracles.verify_bin_packing(inst.items, inst.t, cert["bins"])
-    if problem == "partition":
-        if not isinstance(inst, PartitionInstance):
-            raise UsageError(f"{path} is not a partition source")
-        return oracles.verify_partition(inst.items, cert["side"], balanced=balanced)
-    if problem == "3dm":
-        if not isinstance(inst, ThreeDMInstance):
-            raise UsageError(f"{path} is not a 3dm source")
-        return oracles.verify_3dm(inst.n, inst.triples,
-                                  [tuple(tr) for tr in cert["triples"]])
-    gi = _graph_of(inst, path)
-    g = gi.graph
-    if problem == "vi":
-        return oracles.verify_vi_set(g, cert["separator"], value)
-    if problem == "imbalance":
-        return oracles.verify_imbalance(g, cert["ordering"], value)
-    if problem == "bandwidth":
-        return oracles.verify_bandwidth(g, cert["ordering"], value)
-    if problem == "cvc":
-        assignment = {tuple(map(int, key.split())): w
-                      for key, w in cert["assignment"].items()}
-        if value is not None and len(cert["cover"]) != value:
-            return False
-        return oracles.verify_cvc(g, cert["cover"], assignment)
-    if problem == "cds":
-        if value is not None and len(cert["set"]) != value:
-            return False
-        return oracles.verify_cds(g, cert["set"], _int_keys(cert["assignment"]))
-    if problem == "prece":
-        if r is None:
-            raise UsageError("`prece` needs --r")
-        return oracles.verify_precoloring(g, gi.precolor or {}, r,
-                                          _int_keys(cert["coloring"]))
-    if problem == "eqcol":
-        if r is None:
-            raise UsageError("`eqcol` needs --r")
-        return oracles.verify_eqcoloring(g, r, _int_keys(cert["coloring"]))
-    if problem == "ecp":
-        if r is None:
-            raise UsageError("`ecp` needs --r")
-        return oracles.verify_ecp(g, r, cert["parts"])
-    if problem == "motif":
-        mi = _motif_of(inst, path)
-        return oracles.verify_motif(mi.graph, mi.motif, cert["vertices"])
-    if problem == "mmoo":
-        if r is None:
-            raise UsageError("`mmoo` needs --r")
-        orientation = {edge_key(t, h): (t, h)
-                       for (t, h) in (tuple(map(int, p)) for p in cert["orientation"])}
-        return oracles.verify_mmoo(_unit_weighted(g), r, orientation)
-    if problem == "sf":
-        si = _steiner_of(inst, path)
-        return oracles.verify_steiner_forest(si.graph, si.terminals,
-                                             _tuple_edges(cert["edges"]), value)
-    if problem == "usf":
-        si = _steiner_of(inst, path, unit=True)
-        return oracles.verify_steiner_forest(si.graph, si.terminals,
-                                             _tuple_edges(cert["edges"]), value)
-    raise UsageError(f"unknown problem `{problem}`")
 
 
 # -------------------------------------------------------------------- main
 
-_SOLVE_PROBLEMS = ["imbalance", "mcs", "mcis", "cvc", "cds", "prece", "eqcol",
-                   "ecp", "motif", "mmoo", "sf", "usf"]
-_ORACLE_PROBLEMS = ["vi", "td", "vc", "imbalance", "bandwidth", "mcs", "mcis",
-                    "cvc", "cds", "prece", "eqcol", "ecp", "motif", "mmoo",
-                    "sf", "usf", "bp", "partition", "3dm"]
-_VERIFY_PROBLEMS = ["vi", "imbalance", "bandwidth", "mcs", "mcis", "cvc",
-                    "cds", "prece", "eqcol", "ecp", "motif", "mmoo", "sf",
-                    "usf", "bp", "partition", "3dm"]
-
-
-def _add_batch_options(p, problems):
-    p.add_argument("problem", choices=problems)
+def _add_batch_options(p, mode):
+    p.add_argument("problem", choices=_problems_with(mode))
     p.add_argument("files", nargs="+", help="instance file(s)")
     p.add_argument("--r", type=int, default=None,
                    help="decision parameter (colors, classes or outdegree)")
-    p.add_argument("--balanced", action="store_true",
-                   help="partition: require equal-size halves")
     p.add_argument("--json", action="store_true", help="emit result records")
     p.add_argument("--threads", type=int, default=1,
                    help="solve multiple instance files in parallel")
@@ -637,10 +590,12 @@ def build_parser():
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="run the structured solver for a problem")
-    _add_batch_options(p, _SOLVE_PROBLEMS)
+    _add_batch_options(p, "solve")
 
     p = sub.add_parser("oracle", help="run the brute-force reference solver")
-    _add_batch_options(p, _ORACLE_PROBLEMS)
+    _add_batch_options(p, "oracle")
+    p.add_argument("--balanced", action="store_true",
+                   help="partition: require equal-size halves")
 
     p = sub.add_parser("reduce", help="build a hardness instance from a source")
     p.add_argument("name", choices=sorted(_REDUCTIONS))
@@ -667,7 +622,7 @@ def build_parser():
     p.add_argument("--max-k", type=int, default=8, dest="max_k")
 
     p = sub.add_parser("verify", help="check a certificate produced by solve/oracle")
-    p.add_argument("problem", choices=_VERIFY_PROBLEMS)
+    p.add_argument("problem", choices=_problems_with("verify"))
     p.add_argument("files", nargs="+",
                    help="instance file(s) followed by the certificate JSON")
     p.add_argument("--r", type=int, default=None)

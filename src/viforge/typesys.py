@@ -158,22 +158,6 @@ def classify(g: Graph, s_ordered, mode="plain") -> dict:
     return {t: len(cs) for t, cs in classify_detailed(g, s_ordered, mode)}
 
 
-def subset_pattern_code(g: Graph, s_ordered, comp, subset) -> bytes:
-    """Canonical code of (component, marked vertex subset) with S pinned.
-
-    Two subsets of same-type components get equal codes exactly when an
-    S-fixing isomorphism carries one onto the other.
-    """
-    comp = sorted(comp)
-    subset = set(subset)
-    if not subset <= set(comp):
-        raise ValueError("subset must lie inside the component")
-    s_list = list(s_ordered)
-    order = s_list + comp
-    attrs = [1 if v in subset else 0 for v in order]
-    return _canon_code(_adj_matrix(order, g.edges), attrs, len(s_list))
-
-
 def labelled_code(g: Graph, s_ordered, comp, labels: dict) -> bytes:
     """Canonical code of (component, per-vertex integer label) with S pinned.
 

@@ -424,6 +424,128 @@ class TestCliVerify:
         assert run(["verify", "imbalance", k2, rec_path]) == EXIT_NO
         capsys.readouterr()
 
+    def test_instance_count_must_match_the_problem(self, k2, p4, tmp_path, capsys):
+        assert run(["solve", "imbalance", k2, "--json"]) == EXIT_YES
+        rec_path = _write(tmp_path, "rec.json", capsys.readouterr().out)
+        assert run(["verify", "imbalance", k2, p4, rec_path]) == EXIT_USAGE
+        assert run(["verify", "imbalance", rec_path]) == EXIT_USAGE
+        assert run(["verify", "mcs", k2, rec_path]) == EXIT_USAGE
+        assert "instance file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("params", [None, [1]])
+    def test_parameters_must_be_an_object(self, star, params, tmp_path, capsys):
+        assert run(["solve", "imbalance", star, "--json"]) == EXIT_YES
+        rec = json.loads(capsys.readouterr().out)
+        rec["parameters"] = params
+        rec_path = _write(tmp_path, "rec.json", json.dumps(rec))
+        assert run(["verify", "imbalance", star, rec_path]) == EXIT_NO
+        assert "malformed certificate" in capsys.readouterr().err
+
+    def test_balanced_is_not_a_solve_option(self, k2, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", "imbalance", k2, "--balanced"])
+        assert exc.value.code == EXIT_USAGE
+        capsys.readouterr()
+
+
+def _problem_choices(command):
+    """The problems the ``command`` subparser accepts."""
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    return set(next(a for a in sub.choices[command]._actions
+                    if a.dest == "problem").choices)
+
+
+def _tampered(cert):
+    """A copy of ``cert`` whose first integer entry, in sorted key order,
+    is -1: a vertex, color or item that no instance has."""
+    cert = json.loads(json.dumps(cert))
+    node = cert
+    while True:
+        key = min(node) if isinstance(node, dict) else 0
+        if isinstance(node[key], int):
+            node[key] = -1
+            return cert
+        node = node[key]
+
+
+_P4 = "p 4 3\ne 0 1\ne 1 2\ne 2 3\n"
+_STAR = "p 4 3\ne 0 1\ne 0 2\ne 0 3\n"
+_CAPPED_STAR = _STAR + "c 0 3\nc 1 1\nc 2 1\nc 3 1\n"
+_FOREST = "p 4 4\ne 0 1{}\ne 1 2{}\ne 2 3{}\ne 0 3{}\nt 0 0\nt 0 2\n"
+
+# One small yes-instance per problem `verify` accepts: (files, extra argv).
+_ROUND_TRIP = {
+    "vi": ([generate("random-vi", seed=1, n=7, k=3)], []),
+    "imbalance": ([generate("random-vi", seed=2, n=7, k=3)], []),
+    "bandwidth": ([generate("random-vi", seed=3, n=7, k=3)], []),
+    "mcs": ([_P4, _STAR], []),
+    "mcis": ([_P4, _STAR], []),
+    "cvc": ([_CAPPED_STAR], []),
+    "cds": ([_CAPPED_STAR], []),
+    "prece": ([_P4 + "pc 0 2\n"], ["--r", "2"]),
+    "eqcol": ([generate("random-vi", seed=4, n=7, k=3)], ["--r", "4"]),
+    "ecp": ([_P4], ["--r", "2"]),
+    "motif": (["p 3 2\ne 0 1\ne 1 2\ncol 0 1\ncol 1 2\ncol 2 1\nm 1 1\nm 2 1\n"], []),
+    "mmoo": (["p 3 2\ne 0 1 2\ne 1 2 1\n"], ["--r", "2"]),
+    "sf": ([_FOREST.format(" 3", " 1", " 1", " 4")], []),
+    "usf": ([_FOREST.format("", "", "", "")], []),
+    "bp": (["bp 3 6\n" + "a 1\n" * 6], []),
+    "partition": (["pt 4\na 1\na 1\na 1\na 3\n"], []),
+    "3dm": (["dm 2 3\ntr 0 0 0\ntr 0 1 1\ntr 1 1 1\n"], []),
+}
+
+
+class TestCliRoundTrip:
+    def test_every_verify_problem_has_a_case(self):
+        assert set(_ROUND_TRIP) == _problem_choices("verify")
+
+    @pytest.mark.parametrize("problem", sorted(_ROUND_TRIP))
+    def test_records_pass_verify_and_tampered_ones_fail(self, problem, tmp_path,
+                                                        capsys):
+        texts, extra = _ROUND_TRIP[problem]
+        files = [_write(tmp_path, f"in{i}.txt", text) for i, text in enumerate(texts)]
+        modes = [m for m in ("solve", "oracle") if problem in _problem_choices(m)]
+        assert "oracle" in modes
+        for mode in modes:
+            assert run([mode, problem, *files, *extra, "--json"]) == EXIT_YES, mode
+            rec = json.loads(capsys.readouterr().out)
+            assert rec["answer"] is True
+            forged = [dict(rec, certificate=_tampered(rec["certificate"]))]
+            if rec["value"] is not None:
+                forged.append(dict(rec, value=rec["value"] - 1))
+            for i, record in enumerate([rec, *forged]):
+                path = _write(tmp_path, f"{mode}{i}.json", json.dumps(record))
+                want = EXIT_YES if i == 0 else EXIT_NO
+                assert run(["verify", problem, *files, path]) == want, (mode, record)
+            capsys.readouterr()
+
+
+def test_calls_reach_the_names_a_tracer_wraps(k2, p4, capsys, monkeypatch):
+    # perfbench's tracer swaps these module attributes for timing wrappers;
+    # a call that bound the functions earlier would bypass the wrappers.
+    calls = []
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("imbalance_vi", "mcs_vi", "parse", "_bounded_params"):
+        counting(cli, name)
+    counting(cli.oracles, "oracle_imbalance")
+    assert run(["solve", "imbalance", k2]) == EXIT_YES
+    assert sorted(calls) == ["_bounded_params", "imbalance_vi", "parse"]
+    calls.clear()
+    assert run(["solve", "mcs", k2, p4]) == EXIT_YES
+    assert sorted(calls) == ["_bounded_params"] * 2 + ["mcs_vi"] + ["parse"] * 2
+    calls.clear()
+    assert run(["oracle", "imbalance", k2]) == EXIT_YES
+    assert sorted(calls) == ["_bounded_params", "oracle_imbalance", "parse"]
+    capsys.readouterr()
+
 
 class TestCliParallel:
     def test_threads_match_sequential(self, tmp_path, capsys):

@@ -13,7 +13,6 @@ from viforge.typesys import (
     enumerate_decompositions,
     g_type_of,
     labelled_code,
-    subset_pattern_code,
     type_of,
 )
 
@@ -80,22 +79,12 @@ def test_anchor_order_matters():
     assert t_a.code != t_b.code
 
 
-def test_subset_pattern_codes():
-    p3 = path_graph(3)
-    ends = subset_pattern_code(p3, [], [0, 1, 2], {0})
-    other_end = subset_pattern_code(p3, [], [0, 1, 2], {2})
-    middle = subset_pattern_code(p3, [], [0, 1, 2], {1})
-    assert ends == other_end
-    assert ends != middle
-    with pytest.raises(ValueError):
-        subset_pattern_code(p3, [], [0, 1], {2})
-
-
 def test_subset_pattern_is_anchor_aware():
-    # path 0-1-2 anchored at 0: marking the near vertex differs from the far one
+    # path 0-1-2 anchored at 0: marking (label 1) the near vertex differs
+    # from marking the far one
     p3 = path_graph(3)
-    near = subset_pattern_code(p3, [0], [1, 2], {1})
-    far = subset_pattern_code(p3, [0], [1, 2], {2})
+    near = labelled_code(p3, [0], [1, 2], {1: 1, 2: 0})
+    far = labelled_code(p3, [0], [1, 2], {1: 0, 2: 1})
     assert near != far
 
 
