@@ -545,10 +545,14 @@ def _run_verify(args):
     except (ParseError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    try:
+        inputs = [row.read(inst, path) for inst, path in zip(insts, instance_paths)]
+    except (PreconditionError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_PRECONDITION
     cert = loaded.get("certificate", loaded) if isinstance(loaded, dict) else loaded
     value = loaded.get("value") if isinstance(loaded, dict) else None
     try:
-        inputs = [row.read(inst, path) for inst, path in zip(insts, instance_paths)]
         r = args.r
         if r is None and isinstance(loaded, dict):
             # a record whose `parameters` is not an object is malformed

@@ -1,6 +1,11 @@
 """Small simple-graph container plus the structural primitives the solvers
 share: component splitting, induced subgraphs and anchored isomorphism.
 
+``split`` is the one component splitter (``components``,
+``is_connected_subset``, typesys pieces, the treedepth oracle), and
+``anchored_search`` the one anchored isomorphism search
+(``anchored_isomorphic``, type maps, common subgraph piece matching).
+
 Vertices are dense integers 0..n-1.  Optional vertex capacities, vertex
 colors and edge weights are total maps when present (every vertex/edge has an
 entry or the attribute is absent entirely).  A graph builds its adjacency on
@@ -139,19 +144,7 @@ def is_connected_subset(g: Graph, vs) -> bool:
     """True when the induced subgraph on ``vs`` is connected (empty set and
     singletons count as connected)."""
     vs = set(vs)
-    if len(vs) <= 1:
-        return True
-    adj = g.adjacency()
-    start = min(vs)
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w in vs and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == vs
+    return len(vs) <= 1 or len(split(g.adjacency(), vs)) == 1
 
 
 def induced(g: Graph, vs) -> tuple[Graph, dict]:
@@ -224,6 +217,12 @@ def anchored_search(adj1, adj2, vs1, vs2, anchors1, anchors2, attr_ok) -> Option
     """Isomorphism from the subgraph ``adj1`` induces on ``vs1`` onto the
     one ``adj2`` induces on ``vs2`` that maps anchors1[i] to anchors2[i]
     and pairs vertices u, x only when ``attr_ok(u, x)``, or None.
+
+    ``adj1``/``adj2`` map a vertex to its neighbour set.  Callers:
+    ``anchored_isomorphic`` (whole graphs), the type maps of
+    ``typesys.component_map`` (S + one component onto S + another) and
+    the piece matching of ``solvers.common_subgraph`` (kept edges only,
+    no anchors, vertices paired by their anchor links).
 
     The anchors must lie in their vertex sets.  Free vertices are placed
     by falling degree inside their subgraph, ties by id, each onto the

@@ -3,9 +3,10 @@
 Every oracle answers by exhaustive enumeration (orderings, injections,
 subsets, orientations, partitions), or for imbalance by a dynamic program
 over vertex subsets, within an explicit budget, refusing loudly when an
-instance is too large.  None of this code is shared with the
-solver implementations; only the graph container and its component splitting
-are reused.  Verifiers are pure definition checks over certificates.
+instance is too large.  None of this code is shared with the solver
+implementations: only the graph container, its component splitting and the
+oracles' own scan kernels in ``_kernels`` are imported.  Verifiers are pure
+definition checks over certificates.
 """
 
 import math
@@ -14,7 +15,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 
 from ._kernels import bandwidth_scan, imbalance_scan, mcis_scan, mcs_scan, orient_scan
-from .graphs import Graph, components, edge_key, is_connected_subset
+from .graphs import Graph, components, edge_key, is_connected_subset, split
 
 
 class OracleBudgetExceeded(RuntimeError):
@@ -103,33 +104,14 @@ def oracle_treedepth(g: Graph, budget=None) -> int:
     adj = g.adjacency()
     memo = {}
 
-    def split(vs):
-        seen = set()
-        out = []
-        for s in sorted(vs):
-            if s in seen:
-                continue
-            comp = {s}
-            stack = [s]
-            seen.add(s)
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if w in vs and w not in seen:
-                        seen.add(w)
-                        comp.add(w)
-                        stack.append(w)
-            out.append(frozenset(comp))
-        return out
-
     def td(vs: frozenset) -> int:
         if not vs:
             return 0
         if vs in memo:
             return memo[vs]
-        comps = split(vs)
+        comps = split(adj, vs)
         if len(comps) > 1:
-            got = max(td(c) for c in comps)
+            got = max(td(frozenset(c)) for c in comps)
         elif len(vs) == 1:
             got = 1
         else:
@@ -611,7 +593,7 @@ def verify_vi_set(g: Graph, separator, k: int) -> bool:
     s = set(separator)
     if len(s) != len(list(separator)) or not all(0 <= v < g.n for v in s):
         return False
-    return all(len(s) + len(c) <= k for c in components(g, s))
+    return len(s) <= k and all(len(s) + len(c) <= k for c in components(g, s))
 
 
 def _is_permutation(g: Graph, ordering) -> bool:

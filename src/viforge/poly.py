@@ -650,22 +650,9 @@ def _edge_search(g, terminals):
     if not _spans(g.n, es, terminals):
         return None
     for size in range(len(es) + 1):
-        for chosen in combinations(range(len(es)), size):
-            parent = list(range(g.n))
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for i in chosen:
-                u, v = es[i]
-                parent[find(u)] = find(v)
-            if all(
-                len({find(t) for t in tset}) == 1 for tset in terminals
-            ):
-                return [es[i] for i in chosen]
+        for chosen in combinations(es, size):
+            if _spans(g.n, chosen, terminals):
+                return list(chosen)
     return None
 
 

@@ -12,7 +12,7 @@ from math import ceil
 
 from ..graphs import anchored_isomorphic  # noqa: F401  (perfbench wraps this binding)
 from ..graphs import components, is_connected_subset, split
-from ..ilp import IlpInstance, feasible
+from ..ilp import feasible
 from ..integrity import vertex_integrity
 from ..typesys import classify_detailed, component_map, labelled_code
 from .configuration import configuration_ip, place
@@ -426,14 +426,11 @@ def _ecp_try_representation(g, s_list, groups, mu_lists, combo, s_classes, targe
         return None
 
     cols = [(gi, mu_lists[gi][mi]) for gi, chosen in enumerate(combo) for mi in chosen]
-    # every chosen labelling is used at least once, so bounds start at 1
-    bounds = [(1, len(groups[gi][1])) for gi, _ in cols]
-    constraints = [(tuple(int(c == gi) for c, _ in cols), "==", len(comps))
-                   for gi, (_, comps) in enumerate(groups)]
-    for i in range(r):
-        row = [sum(1 for c in mu.values() if c == i + 1) for _, mu in cols]
-        constraints.append((tuple(row), "==", targets[i] - len(s_classes[i])))
-    point = feasible(IlpInstance(tuple(bounds), tuple(constraints)))
+    rows = [(tuple(sum(1 for c in mu.values() if c == i + 1) for _, mu in cols),
+             "==", targets[i] - len(s_classes[i])) for i in range(r)]
+    # every chosen labelling is used at least once
+    rows += [(tuple(int(j == i) for j in range(len(cols))), ">=", 1) for i in range(len(cols))]
+    point = feasible(configuration_ip(groups, cols, rows))
     if point is None:
         return None
 

@@ -17,7 +17,7 @@ key is solved once and keeps one concrete witness for reconstruction.
 from collections import Counter
 from itertools import combinations, permutations
 
-from ..graphs import components, induced
+from ..graphs import anchored_search, components, induced
 from ..ilp import IlpInstance, optimize
 from ..integrity import vertex_integrity
 from ..typesys import classify_detailed, enumerate_decompositions, g_type_of
@@ -173,47 +173,26 @@ def _piece_ilp(codes1, codes2, induced_flag):
 
 
 def _match_piece(rho1, piece1, rho2, piece2):
-    """Concrete map of one piece onto a code-equal piece of the other side."""
-    vs1, f1, b1 = piece1
-    vs2, f2, b2 = piece2
-    idx1 = {r: i for i, r in enumerate(rho1)}
-    idx2 = {r: i for i, r in enumerate(rho2)}
+    """Concrete map of one piece onto a code-equal piece of the other side:
+    kept edges go onto kept edges, and each vertex goes onto one with the
+    same links to the anchors (by anchor position)."""
 
-    def profile(vs, f, b, idx):
+    def profile(rho, vs, f, b):
         adj = {v: set() for v in vs}
         for (u, v) in f:
             adj[u].add(v)
             adj[v].add(u)
+        idx = {r: i for i, r in enumerate(rho)}
         link = {v: 0 for v in vs}
         for (v, r) in b:
             link[v] |= 1 << idx[r]
         return adj, link
 
-    adj1, link1 = profile(vs1, f1, b1, idx1)
-    adj2, link2 = profile(vs2, f2, b2, idx2)
-    order = sorted(vs1)
-    cand = sorted(vs2)
-    mapping = {}
-    used = set()
-
-    def extend(i):
-        if i == len(order):
-            return True
-        u = order[i]
-        for x in cand:
-            if x in used or link1[u] != link2[x] or len(adj1[u]) != len(adj2[x]):
-                continue
-            if any((w in adj1[u]) != (img in adj2[x]) for w, img in mapping.items()):
-                continue
-            mapping[u] = x
-            used.add(x)
-            if extend(i + 1):
-                return True
-            del mapping[u]
-            used.discard(x)
-        return False
-
-    if not extend(0):
+    adj1, link1 = profile(rho1, *piece1)
+    adj2, link2 = profile(rho2, *piece2)
+    mapping = anchored_search(adj1, adj2, set(adj1), set(adj2), (), (),
+                              lambda u, x: link1[u] == link2[x])
+    if mapping is None:
         raise RuntimeError("code-equal pieces must admit an anchored match")
     return mapping
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from ._kernels import min_anchored_code
-from .graphs import Graph, anchored_search, components, edge_key
+from .graphs import Graph, anchored_search, components, edge_key, split
 
 MODES = ("plain", "capacity", "color")
 
@@ -173,23 +173,14 @@ def labelled_code(g: Graph, s_ordered, comp, labels: dict) -> bytes:
     return _canon_code(_adj_matrix(order, g.edges), attrs, len(s_list))
 
 
-def _connected_via(vertices, edges) -> bool:
-    vs = list(vertices)
-    if len(vs) <= 1:
-        return True
-    adj = {v: set() for v in vs}
+def _split_via(vertices, edges) -> list:
+    """Components of the graph on ``vertices`` whose edges are ``edges``,
+    in the order of ``split``."""
+    adj = {v: set() for v in vertices}
     for (u, v) in edges:
         adj[u].add(v)
         adj[v].add(u)
-    seen = {vs[0]}
-    stack = [vs[0]]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(vs)
+    return split(adj, vertices)
 
 
 def g_type_of(g: Graph, r_ordered, a, b, f=None) -> PieceType:
@@ -211,7 +202,7 @@ def g_type_of(g: Graph, r_ordered, a, b, f=None) -> PieceType:
     for (u, v) in f:
         if not (u in a_set and v in a_set) or edge_key(u, v) not in g.edges:
             raise ValueError("kept inner edge not an A-edge of g")
-    if not _connected_via(a_sorted, f):
+    if len(_split_via(a_sorted, f)) > 1:
         raise ValueError("piece is not connected through its kept edges")
     b_norm = set()
     for (x, r) in b:
@@ -286,27 +277,7 @@ def enumerate_decompositions(g: Graph, r_ordered, comp, induced_mode=False) -> d
             fsubs = list(_subsets(kedges))
         for fsub in fsubs:
             fset = set(fsub)
-            # split K into the components of (K, F)
-            adj = {v: set() for v in kset}
-            for (u, v) in fset:
-                adj[u].add(v)
-                adj[v].add(u)
-            pieces_vs = []
-            seen = set()
-            for v in sorted(kset):
-                if v in seen:
-                    continue
-                blob = [v]
-                seen.add(v)
-                stack = [v]
-                while stack:
-                    u = stack.pop()
-                    for w in adj[u]:
-                        if w not in seen:
-                            seen.add(w)
-                            blob.append(w)
-                            stack.append(w)
-                pieces_vs.append(sorted(blob))
+            pieces_vs = _split_via(kset, fset)
             per_piece = []
             for vs in pieces_vs:
                 pf = {e for e in fset if e[0] in set(vs)}

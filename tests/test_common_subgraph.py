@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from viforge.graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph
 from viforge.oracles import oracle_mcis, oracle_mcs, verify_mcis, verify_mcs
+from viforge.solvers import common_subgraph
 from viforge.solvers.common_subgraph import mcis_vi, mcs_vi
 
 from conftest import BIG_BUDGET, rand_graph, rand_vi_graph
@@ -85,3 +86,92 @@ def test_mcs_on_low_integrity_pairs(seed):
     want, _ = oracle_mcs(g1, g2, budget=BIG_BUDGET)
     assert val == want
     assert verify_mcs(g1, g2, mapping, val)
+
+
+def _reference_match_piece(rho1, piece1, rho2, piece2):
+    """Piece matching as it ran before it called ``anchored_search``: the
+    vertices of piece 1 in id order, each onto the smallest unused vertex
+    of piece 2 with the same anchor links, kept degree and kept adjacency
+    to the vertices already placed; the reference for ``_match_piece``."""
+    def profile(rho, vs, f, b):
+        adj = {v: set() for v in vs}
+        for (u, v) in f:
+            adj[u].add(v)
+            adj[v].add(u)
+        link = {v: 0 for v in vs}
+        for (v, r) in b:
+            link[v] |= 1 << rho.index(r)
+        return adj, link
+
+    adj1, link1 = profile(rho1, *piece1)
+    adj2, link2 = profile(rho2, *piece2)
+    order = sorted(adj1)
+    cand = sorted(adj2)
+    mapping = {}
+
+    def extend(i):
+        if i == len(order):
+            return True
+        u = order[i]
+        for x in cand:
+            if x in mapping.values() or link1[u] != link2[x] or len(adj1[u]) != len(adj2[x]):
+                continue
+            if any((w in adj1[u]) != (img in adj2[x]) for w, img in mapping.items()):
+                continue
+            mapping[u] = x
+            if extend(i + 1):
+                return True
+            del mapping[u]
+        return False
+
+    return dict(mapping) if extend(0) else None
+
+
+def _blocks(rng, count, most, hubs):
+    """Disjoint random connected blocks of 1..``most`` vertices, plus
+    ``hubs`` vertices joined to block vertices at random, labelled at
+    random: the hubs make small separators, so pieces carry anchor links."""
+    sizes = [rng.randint(1, most) for _ in range(count)]
+    label = list(range(sum(sizes) + hubs))
+    rng.shuffle(label)
+    edges, start = set(), 0
+    for size in sizes:
+        vs = label[start:start + size]
+        edges |= {(vs[rng.randrange(i)], vs[i]) for i in range(1, size)}
+        edges |= {(vs[i], vs[j]) for i in range(size) for j in range(i + 1, size)
+                  if rng.random() < 0.3}
+        start += size
+    for h in label[start:]:
+        edges |= {(h, v) for v in label[:start] if rng.random() < 0.3}
+    return Graph(len(label), edges)
+
+
+def test_piece_matcher_matches_the_reference(monkeypatch):
+    # The matcher places vertices by falling degree, the reference by id,
+    # so the two can pick different maps (K4 plus the path 4-5-6-7 against
+    # K4 plus the path 4-6-5-7 is one such pair); on this stream they
+    # agree, which keeps the solvers' certificates as they were.
+    calls = []
+    match = common_subgraph._match_piece
+
+    def recorded(*args):
+        got = match(*args)
+        calls.append((args, got))
+        return got
+
+    monkeypatch.setattr(common_subgraph, "_match_piece", recorded)
+    for seed in range(100):
+        rng = random.Random(seed)
+        g1 = _blocks(rng, rng.randint(1, 3), 3, rng.randint(0, 2))
+        g2 = _blocks(rng, rng.randint(1, 3), 3, rng.randint(0, 2))
+        mcs_vi(g1, g2)
+        mcis_vi(g1, g2)
+    for (rho1, piece1, rho2, piece2), got in calls:
+        assert got == _reference_match_piece(rho1, piece1, rho2, piece2)
+        (vs1, f1, b1), (vs2, f2, b2) = piece1, piece2
+        assert sorted(got) == sorted(vs1) and sorted(got.values()) == sorted(vs2)
+        assert {frozenset((got[u], got[v])) for (u, v) in f1} == {frozenset(e) for e in f2}
+        assert {(got[v], rho2[rho1.index(r)]) for (v, r) in b1} == set(b2)
+    assert len(calls) >= 400
+    assert sum(len(args[1][0]) >= 3 for args, _ in calls) >= 10
+    assert sum(len(args[1][0]) >= 2 and bool(args[1][2]) for args, _ in calls) >= 10

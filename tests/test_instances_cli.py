@@ -441,6 +441,26 @@ class TestCliVerify:
         assert run(["verify", "imbalance", star, rec_path]) == EXIT_NO
         assert "malformed certificate" in capsys.readouterr().err
 
+    def test_vi_separator_must_fit_the_value(self, tmp_path, capsys):
+        tri = _write(tmp_path, "tri.g", "p 3 3\ne 0 1\ne 1 2\ne 0 2\n")
+        whole = _write(tmp_path, "whole.json",
+                       json.dumps({"certificate": {"separator": [0, 1, 2]}, "value": 0}))
+        assert run(["verify", "vi", tri, whole]) == EXIT_NO
+        capsys.readouterr()
+        assert run(["oracle", "vi", tri, "--json"]) == EXIT_YES
+        rec_path = _write(tmp_path, "rec.json", capsys.readouterr().out)
+        assert run(["verify", "vi", tri, rec_path]) == EXIT_YES
+        capsys.readouterr()
+
+    def test_bad_instance_exits_3_as_under_solve(self, tmp_path, capsys):
+        # the only terminal set has one vertex: a precondition, not a
+        # certificate, is broken
+        sf = _write(tmp_path, "sf.g", "p 3 2\ne 0 1 1\ne 1 2 1\nt 0 0\n")
+        cert = _write(tmp_path, "cert.json", json.dumps({"edges": [], "value": 0}))
+        assert run(["solve", "sf", sf]) == EXIT_PRECONDITION
+        assert run(["verify", "sf", sf, cert]) == EXIT_PRECONDITION
+        assert "malformed certificate" not in capsys.readouterr().err
+
     def test_balanced_is_not_a_solve_option(self, k2, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["solve", "imbalance", k2, "--balanced"])

@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+import viforge.oracles
 from viforge.graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph
 from viforge.oracles import (
     OracleBudget,
@@ -275,3 +279,17 @@ class TestNumeric:
         assert oracle_3dm(2, [(0, 0, 0), (0, 1, 1)]) is None
         with pytest.raises(ValueError):
             oracle_3dm(1, [(0, 0, 5)])
+
+
+def test_oracles_import_only_the_graph_layer_and_kernels():
+    # the oracles check the solvers, so they share no solver code: only
+    # the graph container, its component splitting and the scan kernels
+    tree = ast.parse(Path(viforge.oracles.__file__).read_text(encoding="utf-8"))
+    relative = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level > 0}
+    absolute = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    absolute += [node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0]
+    assert relative == {"graphs", "_kernels"}
+    assert not [name for name in absolute if name.split(".")[0] == "viforge"]
