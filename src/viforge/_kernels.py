@@ -6,6 +6,7 @@ Orderings are drawn lazily from ``itertools.permutations``, in lexicographic
 order, and a scan keeps the first ordering that attains its optimum.
 """
 
+from collections import deque
 from itertools import permutations
 
 
@@ -185,33 +186,47 @@ def orient_scan(edges, w, n, r):
     return False, [0] * m
 
 
-def _propagate(rows, b, lo, hi):
+def _propagate(rows, b, lo, hi, occ, queue):
     """Tighten the box lo..hi against the rows to a fixpoint, in place.
 
-    Returns False when some row cannot hold anywhere in the box.  A row
-    that holds at its minimum over the box (slack >= 0) moves each bound
-    by at most the width of its interval, so no interval ever empties.
+    ``queue`` is a FIFO deque of the rows to visit; ``occ[j]`` lists the
+    rows that hold variable j.  Each bound a row moves queues the rows
+    holding that variable that are not queued yet, so the loop ends when
+    every row has been visited since the last change to any of its
+    variables.  The row being visited is not re-queued by its own moves:
+    they leave its slack as it was.  Returns False when some row cannot
+    hold anywhere in the box.  A row that holds at its minimum over the
+    box (slack >= 0) moves each bound by at most the width of its
+    interval, so no interval ever empties.
     """
-    changed = True
-    while changed:
-        changed = False
-        for row, bi in zip(rows, b):
-            mn = 0
-            for j, a in row:
-                mn += a * (lo[j] if a > 0 else hi[j])
-            slack = bi - mn
-            if slack < 0:
-                return False
-            # a bound moves only when |a| times its interval's width
-            # exceeds the slack
-            for j, a in row:
-                if a > 0:
-                    if a * (hi[j] - lo[j]) > slack:
-                        hi[j] = lo[j] + slack // a
-                        changed = True
-                elif -a * (hi[j] - lo[j]) > slack:
-                    lo[j] = hi[j] - slack // -a
-                    changed = True
+    queued = [False] * len(rows)
+    for r in queue:
+        queued[r] = True
+    while queue:
+        r = queue.popleft()
+        row = rows[r]
+        mn = 0
+        for j, a in row:
+            mn += a * (lo[j] if a > 0 else hi[j])
+        slack = b[r] - mn
+        if slack < 0:
+            return False
+        # a bound moves only when |a| times its interval's width
+        # exceeds the slack
+        for j, a in row:
+            if a > 0:
+                if a * (hi[j] - lo[j]) <= slack:
+                    continue
+                hi[j] = lo[j] + slack // a
+            elif -a * (hi[j] - lo[j]) > slack:
+                lo[j] = hi[j] - slack // -a
+            else:
+                continue
+            for r2 in occ[j]:
+                if not queued[r2]:
+                    queued[r2] = True
+                    queue.append(r2)
+        queued[r] = False
     return True
 
 
@@ -225,18 +240,30 @@ def ilp_scan(rows, b, lo, hi, c, find_opt, desc):
     c.x (minimisation) in search order is kept; otherwise the first
     feasible point is returned.  Returns (point, value), or None.  The
     box lo..hi must be non-empty.
+
+    Propagation runs from a row worklist: the root visits every row, and
+    a child that fixes x_j starts from the rows holding j (its parent's
+    box is already a fixpoint).  Each row's tightening is monotone and
+    idempotent, so every fair visiting order reaches the same fixpoint
+    box, or the same infeasibility, as sweeping all rows until nothing
+    moves.  Hence the nodes, their order and the answer do not depend on
+    the visiting order.
     """
+    occ = [[] for _ in lo]
+    for r, row in enumerate(rows):
+        for j, _ in row:
+            occ[j].append(r)
     cost = [(j, cj) for j, cj in enumerate(c) if cj]
     p = len(lo)
     best = None
     best_val = 0
     stack = []
-    node = (list(lo), list(hi))
+    node = (list(lo), list(hi), deque(range(len(rows))))
     while True:
         if node is not None:
-            lo, hi = node
+            lo, hi, queue = node
             node = None
-            if _propagate(rows, b, lo, hi):
+            if _propagate(rows, b, lo, hi, occ, queue):
                 bound = 0
                 for j, cj in cost:
                     bound += cj * (lo[j] if cj > 0 else hi[j])
@@ -259,5 +286,5 @@ def ilp_scan(rows, b, lo, hi, c, find_opt, desc):
         v = hi[j] - k if desc[j] else lo[j] + k
         nlo, nhi = list(lo), list(hi)
         nlo[j] = nhi[j] = v
-        node = (nlo, nhi)
+        node = (nlo, nhi, deque(occ[j]))
     return None if best is None else (best, best_val)

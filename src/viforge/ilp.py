@@ -1,14 +1,23 @@
 """Exact integer programs over a handful of variables.
 
-Instances carry finite bounds for every variable (callers must supply them;
-this module never invents bounds), linear constraints with <=, >= or ==, and
-an optional min/max objective.  Solving is depth-first branch and bound with
+Instances carry finite bounds for every variable (callers must supply
+them; this module never invents bounds), linear constraints with <=, >=
+or ==, and an optional min/max objective.  Every number must be an
+integer that ``operator.index`` accepts; any other raises
+``IlpInputError``.  Solving is depth-first branch and bound with
 interval propagation, so answers are exact and deterministic: variables
 branch in model order, values ascend, and for maximisation the first
-objective-carrying variable descends.  Certificates are the first optimum in
-that canonical search order.
+objective-carrying variable descends.  Certificates are the first
+optimum in that canonical search order.
+
+Propagation at a node visits only the rows whose variables changed (see
+``ilp_scan``).  Each row's tightening is monotone and idempotent, so the
+box it ends at is the one that sweeping every row until nothing moves
+would reach: the nodes, their order and the certificates are the same as
+with full sweeps.
 """
 
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -21,6 +30,16 @@ class IlpInputError(ValueError):
     pass
 
 
+def _int(x):
+    """``x`` as an int.  A value that is not an integer (2.5, inf, "3")
+    raises IlpInputError rather than being truncated."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise IlpInputError(f"bounds, coefficients and right-hand sides must be "
+                            f"integers, got {x!r}") from None
+
+
 @dataclass(frozen=True)
 class IlpInstance:
     bounds: tuple = ()
@@ -28,19 +47,19 @@ class IlpInstance:
     objective: Optional[tuple] = None  # (coeffs, "min" | "max")
 
     def __post_init__(self):
-        object.__setattr__(self, "bounds", tuple((int(a), int(b)) for (a, b) in self.bounds))
+        object.__setattr__(self, "bounds", tuple((_int(a), _int(b)) for (a, b) in self.bounds))
         norm = []
         for (coeffs, rel, rhs) in self.constraints:
-            coeffs = tuple(int(x) for x in coeffs)
+            coeffs = tuple(map(_int, coeffs))
             if len(coeffs) != self.p:
                 raise IlpInputError("constraint arity mismatch")
             if rel not in RELATIONS:
                 raise IlpInputError(f"unknown relation {rel!r}")
-            norm.append((coeffs, rel, int(rhs)))
+            norm.append((coeffs, rel, _int(rhs)))
         object.__setattr__(self, "constraints", tuple(norm))
         if self.objective is not None:
             coeffs, sense = self.objective
-            coeffs = tuple(int(x) for x in coeffs)
+            coeffs = tuple(map(_int, coeffs))
             if len(coeffs) != self.p:
                 raise IlpInputError("objective arity mismatch")
             if sense not in ("min", "max"):
@@ -55,12 +74,6 @@ class IlpInstance:
         return any(a > b for (a, b) in self.bounds)
 
 
-def _check_finite(inst: IlpInstance):
-    for (a, b) in inst.bounds:
-        if not (isinstance(a, int) and isinstance(b, int)):
-            raise IlpInputError("bounds must be finite integers")
-
-
 def _rows(inst: IlpInstance):
     """Normalise to A x <= b."""
     rows = []
@@ -73,7 +86,6 @@ def _rows(inst: IlpInstance):
 
 
 def _run(inst: IlpInstance, minimise_coeffs, find_opt: bool):
-    _check_finite(inst)
     if inst.trivially_infeasible():
         return None
     p = inst.p

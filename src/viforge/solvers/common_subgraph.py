@@ -24,7 +24,9 @@ from ..typesys import classify_detailed, enumerate_decompositions, g_type_of
 
 # (type code, induced flag) -> {piece-code multiset: (edge total, vertex total, Counter)}
 _DECOMP_CACHE = {}
-# (codes1, codes2, induced flag) -> optimal piece total
+# (codes1, codes2, induced flag) -> _piece_ilp's whole answer (optimal
+# piece total, columns, point), so _reconstruct reads the winner back
+# instead of solving its IP again
 _OPT_CACHE = {}
 
 
@@ -219,7 +221,7 @@ def _reconstruct(g1, g2, wit1, wit2, codes1, codes2, induced_flag):
     rho1 = tuple(o2n1[v] for v in rho1_orig)
     rho2 = tuple(o2n2[v] for v in rho2_orig)
 
-    _, cols1, cols2, point = _piece_ilp(codes1, codes2, induced_flag)
+    _, cols1, cols2, point = _OPT_CACHE[(codes1, codes2, induced_flag)]
     pieces1 = _assigned_pieces(h1, rho1, cols1, point, 0, induced_flag)
     pieces2 = _assigned_pieces(h2, rho2, cols2, point, len(cols1), induced_flag)
     pieces1.sort(key=lambda pc: pc[0])
@@ -264,11 +266,10 @@ def _common_solve(g1, g2, induced_flag):
             else:
                 base = bin(bits1 & bits2).count("1")
             cache_key = (codes1, codes2, induced_flag)
-            opt = _OPT_CACHE.get(cache_key)
-            if opt is None:
-                opt = _piece_ilp(codes1, codes2, induced_flag)[0]
-                _OPT_CACHE[cache_key] = opt
-            val = base + opt
+            got = _OPT_CACHE.get(cache_key)
+            if got is None:
+                got = _OPT_CACHE[cache_key] = _piece_ilp(codes1, codes2, induced_flag)
+            val = base + got[0]
             if best is None or val > best[0]:
                 best = (val, wit1, wit2, codes1, codes2)
 

@@ -3,6 +3,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from viforge.graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph
+from viforge.instances import generate, parse_text
 from viforge.oracles import oracle_mcis, oracle_mcs, verify_mcis, verify_mcs
 from viforge.solvers import common_subgraph
 from viforge.solvers.common_subgraph import mcis_vi, mcs_vi
@@ -175,3 +176,24 @@ def test_piece_matcher_matches_the_reference(monkeypatch):
     assert len(calls) >= 400
     assert sum(len(args[1][0]) >= 3 for args, _ in calls) >= 10
     assert sum(len(args[1][0]) >= 2 and bool(args[1][2]) for args, _ in calls) >= 10
+
+
+def test_each_piece_ip_is_solved_once(monkeypatch):
+    # the winning key's IP is read back from the cache for the mapping,
+    # not solved a second time
+    cache = {}
+    monkeypatch.setattr(common_subgraph, "_OPT_CACHE", cache)
+    calls = []
+    real = common_subgraph.optimize
+
+    def counting(inst):
+        calls.append(inst)
+        return real(inst)
+
+    monkeypatch.setattr(common_subgraph, "optimize", counting)
+    g1, g2 = (parse_text(generate("random-vi", seed=s, n=8, k=3)).graph for s in (1, 2))
+    for solve, verify in ((mcs_vi, verify_mcs), (mcis_vi, verify_mcis)):
+        entries, solved = len(cache), len(calls)
+        val, mapping = solve(g1, g2)
+        assert verify(g1, g2, mapping, val)
+        assert len(calls) - solved == len(cache) - entries > 0

@@ -1,10 +1,12 @@
 import itertools
 import random
 import warnings
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from viforge import ilp
 from viforge.ilp import IlpInputError, IlpInstance, feasible, optimize
 
 
@@ -59,6 +61,13 @@ def test_input_validation():
         IlpInstance(bounds=((0, 1),), objective=((1,), "maximize"))
     with pytest.raises(IlpInputError):
         IlpInstance(bounds=((0, 1),), objective=((1, 1), "max"))
+    # non-integers are refused, not truncated or left to overflow
+    with pytest.raises(IlpInputError):
+        IlpInstance(bounds=((0, 2.5),))
+    with pytest.raises(IlpInputError):
+        IlpInstance(bounds=((0, 3),), constraints=(((1.5,), "<=", 2),))
+    with pytest.raises(IlpInputError):
+        IlpInstance(bounds=((0, float("inf")),))
 
 
 def _satisfies(point, constraints):
@@ -165,3 +174,125 @@ def test_answers_are_first_in_canonical_order():
         vals = [sum(c * x for c, x in zip(obj[0], pt)) for pt in pts]
         want = min(vals) if obj[1] == "min" else max(vals)
         assert optimize(inst) == (pts[vals.index(want)], want)
+
+
+def _sweep_propagate(rows, b, lo, hi):
+    """Reference propagation: sweep every row until a sweep moves nothing."""
+    changed = True
+    while changed:
+        changed = False
+        for row, bi in zip(rows, b):
+            mn = 0
+            for j, a in row:
+                mn += a * (lo[j] if a > 0 else hi[j])
+            slack = bi - mn
+            if slack < 0:
+                return False
+            for j, a in row:
+                if a > 0:
+                    if a * (hi[j] - lo[j]) > slack:
+                        hi[j] = lo[j] + slack // a
+                        changed = True
+                elif -a * (hi[j] - lo[j]) > slack:
+                    lo[j] = hi[j] - slack // -a
+                    changed = True
+    return True
+
+
+def _sweep_ilp_scan(rows, b, lo, hi, c, find_opt, desc):
+    """Reference search: ``_kernels.ilp_scan`` with full-sweep propagation
+    at every node, kept to check that the row worklist changes no answer."""
+    cost = [(j, cj) for j, cj in enumerate(c) if cj]
+    p = len(lo)
+    best = None
+    best_val = 0
+    stack = []
+    node = (list(lo), list(hi))
+    while True:
+        if node is not None:
+            lo, hi = node
+            node = None
+            if _sweep_propagate(rows, b, lo, hi):
+                bound = 0
+                for j, cj in cost:
+                    bound += cj * (lo[j] if cj > 0 else hi[j])
+                if best is None or bound < best_val:
+                    j = next((j for j in range(p) if lo[j] < hi[j]), -1)
+                    if j < 0:
+                        best, best_val = tuple(lo), bound
+                        if not find_opt:
+                            return best, best_val
+                    else:
+                        stack.append([lo, hi, j, 0])
+        if not stack:
+            break
+        frame = stack[-1]
+        lo, hi, j, k = frame
+        if k > hi[j] - lo[j]:
+            stack.pop()
+            continue
+        frame[3] = k + 1
+        v = hi[j] - k if desc[j] else lo[j] + k
+        nlo, nhi = list(lo), list(hi)
+        nlo[j] = nhi[j] = v
+        node = (nlo, nhi)
+    return None if best is None else (best, best_val)
+
+
+def _configuration_like(rng):
+    """Bounds and constraints shaped like a configuration IP: groups of
+    count columns that sum to the group size, then a few free variables,
+    then mixed-sign coupling rows.  The coupling rows hold at a drawn
+    point of the box, except that about one in ten has its right-hand
+    side moved, which may leave the IP infeasible.  Draws whose box holds
+    more than 2 * 10**5 points that meet the group sums are redrawn, so that
+    the exhaustive searches below stay short."""
+    while True:
+        groups = []
+        for _ in range(rng.randint(1, 20)):
+            n_cols = rng.choice((1, 1, 1, 2, 3, 4, 5))
+            groups.append((rng.randint(1, 20 if n_cols <= 2 else 3), n_cols))
+        widths = [rng.randint(0, 20) for _ in range(rng.randint(0, 6))]
+        points = prod(comb(size + n_cols - 1, n_cols - 1) for size, n_cols in groups)
+        if points * prod(w + 1 for w in widths) <= 2 * 10 ** 5:
+            break
+    cols = [gi for gi, (_, n_cols) in enumerate(groups) for _ in range(n_cols)]
+    bounds = [(0, groups[gi][0]) for gi in cols]
+    bounds += [(lo, lo + w) for lo, w in zip((rng.randint(-5, 5) for _ in widths), widths)]
+    x0 = [0] * len(cols)
+    for gi, (size, _) in enumerate(groups):
+        mine = [i for i, c in enumerate(cols) if c == gi]
+        for _ in range(size):
+            x0[rng.choice(mine)] += 1
+    x0 += [rng.randint(lo, hi) for lo, hi in bounds[len(cols):]]
+    pad = (0,) * len(widths)
+    cons = [(tuple(int(c == gi) for c in cols) + pad, "==", size)
+            for gi, (size, _) in enumerate(groups)]
+    for _ in range(rng.randint(1, 6)):
+        row = [rng.choice((0, 0, rng.randint(-3, 3))) for _ in bounds]
+        rel = rng.choice(("<=", ">=", "=="))
+        rhs = sum(a * x for a, x in zip(row, x0))
+        rhs += {"<=": rng.randint(0, 6), ">=": -rng.randint(0, 6), "==": 0}[rel]
+        if rng.random() < 0.1:
+            rhs += rng.choice((-1, 1)) * rng.randint(1, 30)
+        cons.append((tuple(row), rel, rhs))
+    return tuple(bounds), tuple(cons)
+
+
+def test_worklist_propagation_matches_full_sweeps(monkeypatch):
+    rng = random.Random("ilp-worklist-vs-sweep")
+    cases = []
+    for _ in range(300):
+        bounds, cons = _configuration_like(rng)
+        obj = tuple(rng.choice((0, 0, rng.randint(-4, 4))) for _ in bounds)
+        cases.append([IlpInstance(bounds, cons, (obj, sense)) for sense in ("min", "max")])
+
+    def answers():
+        return [(feasible(lo), optimize(lo), optimize(hi)) for lo, hi in cases]
+
+    got = answers()
+    monkeypatch.setattr(ilp, "ilp_scan", _sweep_ilp_scan)
+    want = answers()
+    assert got == want
+    assert max(inst.p for inst, _ in cases) >= 30
+    assert 20 <= sum(f is None for f, _, _ in want) <= 100
