@@ -15,19 +15,22 @@ def min_anchored_code(adj, attrs, n_anchor):
     ``n_anchor`` rows pinned and the remaining rows permuted.
 
     ``attrs`` (one int per vertex) is appended after the matrix cells so the
-    comparison covers attribute vectors as well.  Returns the winning code as
-    a list of length s*s + s.
+    comparison covers attribute vectors as well.  Returns (code, perm): the
+    winning code as a list of length s*s + s, and the first permutation of
+    the free rows n_anchor..s-1 that attains it.  Two inputs with equal
+    codes are carried onto each other by pairing their perms position by
+    position, anchors fixed.
     """
     s = len(adj)
     anchors = tuple(range(n_anchor))
-    best = None
+    best = best_perm = None
     for perm in permutations(range(n_anchor, s)):
         order = anchors + perm
         cand = [adj[i][j] for i in order for j in order]
         cand += [attrs[i] for i in order]
         if best is None or cand < best:
-            best = cand
-    return best
+            best, best_perm = cand, perm
+    return best, best_perm
 
 
 def imbalance_scan(adj):

@@ -2,9 +2,10 @@
 share: component splitting, induced subgraphs and anchored isomorphism.
 
 ``split`` is the one component splitter (``components``,
-``is_connected_subset``, typesys pieces, the treedepth oracle), and
-``anchored_search`` the one anchored isomorphism search
-(``anchored_isomorphic``, type maps, common subgraph piece matching).
+``is_connected_subset``, typesys pieces, the treedepth oracle).
+``anchored_isomorphic`` is a backtracking isomorphism search between two
+whole graphs; no solver calls it, because the canonical forms of
+``typesys`` already give the maps between components of one type.
 
 Vertices are dense integers 0..n-1.  Optional vertex capacities, vertex
 colors and edge weights are total maps when present (every vertex/edge has an
@@ -209,37 +210,12 @@ def anchored_isomorphic(
             return False
         return True
 
-    return anchored_search(g1.adjacency(), g2.adjacency(), set(range(g1.n)), set(range(g2.n)),
-                           anchors1, anchors2, attr_ok)
-
-
-def anchored_search(adj1, adj2, vs1, vs2, anchors1, anchors2, attr_ok) -> Optional[dict]:
-    """Isomorphism from the subgraph ``adj1`` induces on ``vs1`` onto the
-    one ``adj2`` induces on ``vs2`` that maps anchors1[i] to anchors2[i]
-    and pairs vertices u, x only when ``attr_ok(u, x)``, or None.
-
-    ``adj1``/``adj2`` map a vertex to its neighbour set.  Callers:
-    ``anchored_isomorphic`` (whole graphs), the type maps of
-    ``typesys.component_map`` (S + one component onto S + another) and
-    the piece matching of ``solvers.common_subgraph`` (kept edges only,
-    no anchors, vertices paired by their anchor links).
-
-    The anchors must lie in their vertex sets.  Free vertices are placed
-    by falling degree inside their subgraph, ties by id, each onto the
-    smallest unused vertex that passes the degree, attribute and
-    adjacency checks, so the first map found depends only on ids.
-    """
-    if len(vs1) != len(vs2):
-        return None
-    deg1 = {v: len(adj1[v] & vs1) for v in vs1}
-    deg2 = {x: len(adj2[x] & vs2) for x in vs2}
-    if sum(deg1.values()) != sum(deg2.values()):
-        return None
-
+    adj1 = g1.adjacency()
+    adj2 = g2.adjacency()
     mapping = {}
     used = set()
     for a, b in zip(anchors1, anchors2):
-        if deg1[a] != deg2[b] or not attr_ok(a, b):
+        if len(adj1[a]) != len(adj2[b]) or not attr_ok(a, b):
             return None
         mapping[a] = b
         used.add(b)
@@ -249,22 +225,20 @@ def anchored_search(adj1, adj2, vs1, vs2, anchors1, anchors2, attr_ok) -> Option
             if (a2 in adj1[a]) != (mapping[a2] in adj2[mapping[a]]):
                 return None
 
-    free = sorted((v for v in vs1 if v not in mapping), key=lambda v: (-deg1[v], v))
-    targets = sorted(x for x in vs2 if x not in used)
+    # free vertices by falling degree, ties by id, each onto the smallest
+    # unused vertex that passes the degree, attribute and adjacency
+    # checks, so the first map found depends only on ids
+    free = sorted((v for v in range(g1.n) if v not in mapping), key=lambda v: (-len(adj1[v]), v))
+    targets = [x for x in range(g2.n) if x not in used]
 
     def extend(idx):
         if idx == len(free):
             return True
         u = free[idx]
         for x in targets:
-            if x in used or deg2[x] != deg1[u] or not attr_ok(u, x):
+            if x in used or len(adj2[x]) != len(adj1[u]) or not attr_ok(u, x):
                 continue
-            ok = True
-            for w, img in mapping.items():
-                if (w in adj1[u]) != (img in adj2[x]):
-                    ok = False
-                    break
-            if ok:
+            if all((w in adj1[u]) == (img in adj2[x]) for w, img in mapping.items()):
                 mapping[u] = x
                 used.add(x)
                 if extend(idx + 1):
@@ -273,6 +247,4 @@ def anchored_search(adj1, adj2, vs1, vs2, anchors1, anchors2, attr_ok) -> Option
                 used.discard(x)
         return False
 
-    if extend(0):
-        return dict(mapping)
-    return None
+    return dict(mapping) if extend(0) else None

@@ -169,18 +169,12 @@ def _cvc_solve_guess(g, s_list, groups, x_s, res, sig_cache):
     s_set = set(s_list)
     cover = set()
     assign = {}
-    for _, phi, (_, wit) in place(g, s_list, groups, cols, point, "capacity"):
+    for _, phi, (_, wit) in place(s_list, groups, cols, point):
         for (u, v), r in wit.items():
             assign[edge_key(phi[u], phi[v])] = phi[r]
             if phi[r] not in s_set:
                 cover.add(phi[r])
     return value, cover, assign
-
-
-def cvc_decide(g, k):
-    """True when a capacitated vertex cover of size at most k exists."""
-    got = cvc_vi(g)
-    return got is not None and got[0] <= k
 
 
 # ------------------------------------------------------------ domination
@@ -325,8 +319,7 @@ def _cds_solve_guess(g, s_list, groups, d_s, b_s, res, sig_cache):
     d_comp = set()
     fmap = {}
     remaining = set(b_s)
-    for _, phi, ((_, _, covered), (d_c, wit)) in place(g, s_list, groups, cols, point,
-                                                       "capacity"):
+    for _, phi, ((_, _, covered), (d_c, wit)) in place(s_list, groups, cols, point):
         d_comp.update(phi[v] for v in d_c)
         for v, u in wit.items():
             if v in covered:
@@ -339,9 +332,3 @@ def _cds_solve_guess(g, s_list, groups, d_s, b_s, res, sig_cache):
     if remaining:
         raise RuntimeError("coverage constraint left separator vertices out")
     return value, d_comp, fmap
-
-
-def cds_decide(g, k):
-    """True when a capacitated dominating set of size at most k exists."""
-    got = cds_vi(g)
-    return got is not None and got[0] <= k

@@ -14,7 +14,7 @@ from ..graphs import anchored_isomorphic  # noqa: F401  (perfbench wraps this bi
 from ..graphs import components, is_connected_subset, split
 from ..ilp import feasible
 from ..integrity import vertex_integrity
-from ..typesys import classify_detailed, component_map, labelled_code
+from ..typesys import classify_detailed, labelled_code
 from .configuration import configuration_ip, place
 
 
@@ -146,7 +146,7 @@ def _eqcol_vectors(g, s_list, assign, comp, classes, free_class):
     return out
 
 
-def _eqcol_classes(g, s_list, groups, cols, rhs):
+def _eqcol_classes(s_list, groups, cols, rhs):
     """Per-vertex classes of the components, taking per-type vector
     multiplicities that meet the class counts ``rhs``, or None."""
     rows = [(tuple(vec[j] for _, (vec, _) in cols), "==", x) for j, x in enumerate(rhs)]
@@ -154,7 +154,7 @@ def _eqcol_classes(g, s_list, groups, cols, rhs):
     if point is None:
         return None
     out = {}
-    for _, phi, (_, wit) in place(g, s_list, groups, cols, point, "plain"):
+    for _, phi, (_, wit) in place(s_list, groups, cols, point):
         out.update({phi[v]: c for v, c in wit.items()})
     return out
 
@@ -191,7 +191,7 @@ def equitable_coloring_vi(g, r):
                 continue
             cols = [(gi, item) for gi, (_, cs) in enumerate(groups) for item in
                     sorted(_eqcol_vectors(g, s_list, assign, cs[0], range(1, r + 1), None).items())]
-            classed = _eqcol_classes(g, s_list, groups, cols, rhs)
+            classed = _eqcol_classes(s_list, groups, cols, rhs)
             if classed is None:
                 continue
             col = dict(assign)
@@ -221,7 +221,7 @@ def equitable_coloring_vi(g, r):
             ]
             if any(x < 0 for x in rhs):
                 continue
-            classed = _eqcol_classes(g, s_list, groups, cols, rhs)
+            classed = _eqcol_classes(s_list, groups, cols, rhs)
             if classed is None:
                 continue
             col = dict(assign)
@@ -417,9 +417,9 @@ def _ecp_try_representation(g, s_list, groups, mu_lists, combo, s_classes, targe
     r = len(s_classes)
     # connectivity check on distinct concrete components per chosen pair
     chunks = [set(c) for c in s_classes]
-    for (t, comps), mus, chosen in zip(groups, mu_lists, combo):
+    for (t, _), mus, chosen in zip(groups, mu_lists, combo):
         for slot, mi in enumerate(chosen):
-            phi = component_map(g, s_list, comps[0], comps[slot], "plain")
+            phi = t.member_map(s_list, slot)
             for v, c in mus[mi].items():
                 chunks[c - 1].add(phi[v])
     if any(not is_connected_subset(g, chunk) for chunk in chunks):
@@ -435,7 +435,7 @@ def _ecp_try_representation(g, s_list, groups, mu_lists, combo, s_classes, targe
         return None
 
     parts = [set(c) for c in s_classes]
-    for _, phi, mu in place(g, s_list, groups, cols, point, "plain"):
+    for _, phi, mu in place(s_list, groups, cols, point):
         for v, c in mu.items():
             parts[c - 1].add(phi[v])
     return [sorted(p) for p in parts]

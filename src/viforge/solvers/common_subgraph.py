@@ -17,10 +17,10 @@ key is solved once and keeps one concrete witness for reconstruction.
 from collections import Counter
 from itertools import combinations, permutations
 
-from ..graphs import anchored_search, components, induced
+from ..graphs import components, induced
 from ..ilp import IlpInstance, optimize
 from ..integrity import vertex_integrity
-from ..typesys import classify_detailed, enumerate_decompositions, g_type_of
+from ..typesys import classify_detailed, enumerate_decompositions, g_type_of, piece_form
 
 # (type code, induced flag) -> {piece-code multiset: (edge total, vertex total, Counter)}
 _DECOMP_CACHE = {}
@@ -177,26 +177,13 @@ def _piece_ilp(codes1, codes2, induced_flag):
 def _match_piece(rho1, piece1, rho2, piece2):
     """Concrete map of one piece onto a code-equal piece of the other side:
     kept edges go onto kept edges, and each vertex goes onto one with the
-    same links to the anchors (by anchor position)."""
-
-    def profile(rho, vs, f, b):
-        adj = {v: set() for v in vs}
-        for (u, v) in f:
-            adj[u].add(v)
-            adj[v].add(u)
-        idx = {r: i for i, r in enumerate(rho)}
-        link = {v: 0 for v in vs}
-        for (v, r) in b:
-            link[v] |= 1 << idx[r]
-        return adj, link
-
-    adj1, link1 = profile(rho1, *piece1)
-    adj2, link2 = profile(rho2, *piece2)
-    mapping = anchored_search(adj1, adj2, set(adj1), set(adj2), (), (),
-                              lambda u, x: link1[u] == link2[x])
-    if mapping is None:
+    same links to the anchors (by anchor position).  It pairs the two
+    pieces' canonical orders position by position."""
+    (code1, order1), (code2, order2) = (piece_form(rho, vs, set(f) | set(b))
+                                        for rho, (vs, f, b) in ((rho1, piece1), (rho2, piece2)))
+    if code1 != code2:
         raise RuntimeError("code-equal pieces must admit an anchored match")
-    return mapping
+    return dict(zip(order1, order2))
 
 
 def _assigned_pieces(h, rho, cols, point, offset, induced_flag):

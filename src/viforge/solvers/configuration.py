@@ -8,11 +8,12 @@ catalogue (a signature and its witness).  Its count variable says how
 many components of the group take that payload.  ``configuration_ip``
 builds the integer program over the counts, and ``place`` hands every
 component its payload with the map that carries the representative onto
-it.
+it.  That map comes from classification: the group's type keeps each
+member's canonical order, and pairing the representative's order with
+the member's, S held fixed, is the map, so placing searches nothing.
 """
 
 from ..ilp import IlpInstance
-from ..typesys import component_map
 
 
 def configuration_ip(groups, cols, rows, objective=None, extra=()):
@@ -30,15 +31,17 @@ def configuration_ip(groups, cols, rows, objective=None, extra=()):
     return IlpInstance(tuple(bounds), tuple(sums) + tuple(rows), objective)
 
 
-def place(g, s_list, groups, cols, counts, mode):
+def place(s_list, groups, cols, counts):
     """Yield (component, phi, payload) for every component.
 
     Column i takes the next ``counts[i]`` components of its group, in the
-    group's order; phi maps S + the representative onto S + the component.
+    group's order; phi maps S + the representative onto S + the component
+    and respects what the group's type respects (capacities or colors in
+    those modes).
     """
     taken = [0] * len(groups)
     for (gi, payload), count in zip(cols, counts):
-        comps = groups[gi][1]
-        for comp in comps[taken[gi]:taken[gi] + count]:
-            yield comp, component_map(g, s_list, comps[0], comp, mode), payload
+        t, comps = groups[gi]
+        for j in range(taken[gi], taken[gi] + count):
+            yield comps[j], t.member_map(s_list, j), payload
         taken[gi] += count

@@ -100,7 +100,7 @@ def _solve_for_order(g, sigma):
         return None
 
     buckets = [[] for _ in range(len(sigma) + 1)]
-    for _, phi, (_, (pi, gaps)) in place(g, sigma, groups, cols, got[0], "plain"):
+    for _, phi, (_, (pi, gaps)) in place(sigma, groups, cols, got[0]):
         for v, gp in zip(pi, gaps):
             buckets[gp].append(phi[v])
 

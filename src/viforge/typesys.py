@@ -8,6 +8,12 @@ components of G - S get the same code exactly when some isomorphism of their
 anchored subgraphs fixes S pointwise.  Capacity and color variants append the
 attribute vector to the compared string.
 
+Equal codes also give that isomorphism: each component's canonical order
+(the first permutation reaching the code) lists its vertices so that
+pairing two orders position by position, S held fixed, carries one
+component onto the other.  ``classify_detailed`` keeps every member's
+order, so mapping a representative onto a member is a zip, not a search.
+
 Piece types play the same role for pairs (A, B): a connected fragment A
 outside the anchor set R together with a kept subset B of its edges into R.
 Their codes carry a (|R|, |A|) header so pieces of different shape never
@@ -16,11 +22,11 @@ edges).
 """
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from ._kernels import min_anchored_code
-from .graphs import Graph, anchored_search, components, edge_key, split
+from .graphs import Graph, components, edge_key, split
 
 MODES = ("plain", "capacity", "color")
 
@@ -30,10 +36,20 @@ class ComponentType:
     code: bytes
     anchor_count: int
     size: int
+    # Filled by classify_detailed: each member's vertices in canonical
+    # order, aligned with the member list.  Not part of the type.
+    orders: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def hex(self) -> str:
         return self.code.hex()
+
+    def member_map(self, s_list, j) -> dict:
+        """Map of S + the representative (member 0) onto S + member j that
+        fixes S pointwise; the identity when j is 0."""
+        phi = dict(zip(s_list, s_list))
+        phi.update(zip(self.orders[0], self.orders[j]))
+        return phi
 
 
 @dataclass(frozen=True)
@@ -62,23 +78,38 @@ def _attr_vector(g: Graph, order, mode):
     return [0] * len(order)
 
 
-def _adj_matrix(order, edges) -> list:
-    """0/1 adjacency matrix over ``order`` of the ``edges`` inside it."""
+def _adj_matrix(order, n_anchor, adj) -> list:
+    """0/1 adjacency matrix over ``order``, whose first ``n_anchor``
+    vertices are the anchors, read from the neighbour sets ``adj``.
+
+    Only the anchors' sets are tested for the other anchors, and only the
+    free vertices' sets are walked, so a high-degree anchor costs nothing
+    beyond its anchor pairs.  Neighbours outside ``order`` are ignored.
+    """
     idx = {v: i for i, v in enumerate(order)}
     s = len(order)
-    adj = [[0] * s for _ in range(s)]
-    for (u, v) in edges:
-        i = idx.get(u)
-        j = idx.get(v)
-        if i is not None and j is not None:
-            adj[i][j] = adj[j][i] = 1
-    return adj
+    m = [[0] * s for _ in range(s)]
+    for i in range(n_anchor):
+        nb = adj[order[i]]
+        for j in range(i):
+            if order[j] in nb:
+                m[i][j] = m[j][i] = 1
+    for i in range(n_anchor, s):
+        for v in adj[order[i]]:
+            j = idx.get(v)
+            if j is not None:
+                m[i][j] = m[j][i] = 1
+    return m
 
 
-def _canon_code(adj, attrs, n_anchor) -> bytes:
-    free = len(adj) - n_anchor
-    head = bytes([n_anchor & 0xFF, free & 0xFF])
-    return head + array("q", min_anchored_code(adj, attrs, n_anchor)).tobytes()
+def _canon_form(order, n_anchor, adj, attrs):
+    """(code, free vertices of ``order`` in canonical order)."""
+    free = len(order) - n_anchor
+    if n_anchor > 0xFF or free > 0xFF:
+        raise ValueError("a canonical code holds at most 255 anchors and 255 free vertices")
+    cells, perm = min_anchored_code(_adj_matrix(order, n_anchor, adj), attrs, n_anchor)
+    code = bytes([n_anchor, free]) + array("q", cells).tobytes()
+    return code, tuple(order[p] for p in perm)
 
 
 def _check_anchor_list(g: Graph, s_ordered):
@@ -91,12 +122,11 @@ def _check_anchor_list(g: Graph, s_ordered):
     return s_list
 
 
-def _component_type(g: Graph, s_list, comp, mode, edges) -> ComponentType:
-    """Type of the sorted component ``comp`` of g - S, unvalidated.
-    ``edges`` must hold every edge of g inside S + comp."""
+def _component_form(g: Graph, s_list, comp, mode):
+    """(code, canonical order) of the sorted component ``comp`` of g - S,
+    unvalidated."""
     order = s_list + comp
-    code = _canon_code(_adj_matrix(order, edges), _attr_vector(g, order, mode), len(s_list))
-    return ComponentType(code, len(s_list), len(comp))
+    return _canon_form(order, len(s_list), g.adjacency(), _attr_vector(g, order, mode))
 
 
 def type_of(g: Graph, s_ordered, c, mode="plain") -> ComponentType:
@@ -105,52 +135,26 @@ def type_of(g: Graph, s_ordered, c, mode="plain") -> ComponentType:
     comp = sorted(c)
     if comp not in components(g, set(s_list)):
         raise ValueError("c is not a component of g minus the anchors")
-    return _component_type(g, s_list, comp, mode, g.edges)
+    code, _ = _component_form(g, s_list, comp, mode)
+    return ComponentType(code, len(s_list), len(comp))
 
 
 def classify_detailed(g: Graph, s_ordered, mode="plain"):
     """Components of g - S grouped by type.
 
     Returns a list of (ComponentType, [component vertex lists]) sorted by
-    code; component lists keep the smallest-vertex order.
+    code; component lists keep the smallest-vertex order, and the type's
+    ``orders`` holds each member's canonical order, aligned with the list.
     """
     s_list = _check_anchor_list(g, s_ordered)
-    s_set = set(s_list)
-    adj = g.adjacency()
-    s_edges = [(u, v) for u in s_list for v in adj[u] if v in s_set]
     groups = {}
-    for comp in components(g, s_set):
-        edges = s_edges + [(u, v) for u in comp for v in adj[u]]
-        t = _component_type(g, s_list, comp, mode, edges)
-        groups.setdefault(t, []).append(comp)
-    return sorted(groups.items(), key=lambda kv: kv[0].code)
-
-
-def component_map(g: Graph, s_list, rep, comp, mode) -> dict:
-    """Map of S + ``rep`` onto S + ``comp`` that fixes S pointwise.
-
-    ``rep`` and ``comp`` are components of g - S of one ``mode`` type, so
-    the map respects exactly what that type respects: capacities in
-    "capacity" mode, colors in "color" mode.  It is the identity when
-    ``comp == rep``.  Raises RuntimeError when no such map exists.
-    """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    s_list = list(s_list)
-    phi = {s: s for s in s_list}
-    if comp == rep:
-        phi.update((v, v) for v in rep)
-        return phi
-    order = s_list + rep + comp
-    attrs = dict(zip(order, _attr_vector(g, order, mode)))
-    s_set = set(s_list)
-    adj = g.adjacency()
-    iso = anchored_search(adj, adj, s_set.union(rep), s_set.union(comp), s_list, s_list,
-                          lambda u, x: attrs[u] == attrs[x])
-    if iso is None:
-        raise RuntimeError("components of equal type must be isomorphic")
-    phi.update((v, iso[v]) for v in rep)
-    return phi
+    for comp in components(g, set(s_list)):
+        code, order = _component_form(g, s_list, comp, mode)
+        comps, orders = groups.setdefault(code, ([], []))
+        comps.append(comp)
+        orders.append(order)
+    return [(ComponentType(code, len(s_list), len(comps[0]), tuple(orders)), comps)
+            for code, (comps, orders) in sorted(groups.items())]
 
 
 def classify(g: Graph, s_ordered, mode="plain") -> dict:
@@ -170,7 +174,7 @@ def labelled_code(g: Graph, s_ordered, comp, labels: dict) -> bytes:
     s_list = list(s_ordered)
     order = s_list + comp
     attrs = [int(labels[v]) if v in labels else 0 for v in order]
-    return _canon_code(_adj_matrix(order, g.edges), attrs, len(s_list))
+    return _canon_form(order, len(s_list), g.adjacency(), attrs)[0]
 
 
 def _split_via(vertices, edges) -> list:
@@ -181,6 +185,21 @@ def _split_via(vertices, edges) -> list:
         adj[u].add(v)
         adj[v].add(u)
     return split(adj, vertices)
+
+
+def piece_form(r_list, a, edges):
+    """(code, canonical order of A) of the piece on the vertices ``a``
+    anchored at ``r_list`` whose edges are ``edges`` (kept inner edges
+    and kept boundary edges, either way round).  Pieces with equal codes
+    over anchor lists of one length are carried onto each other, anchor
+    positions fixed, by pairing their orders."""
+    r_list = list(r_list)
+    order = r_list + sorted(a)
+    adj = {v: set() for v in order}
+    for (u, v) in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return _canon_form(order, len(r_list), adj, [0] * len(order))
 
 
 def g_type_of(g: Graph, r_ordered, a, b, f=None) -> PieceType:
@@ -211,9 +230,7 @@ def g_type_of(g: Graph, r_ordered, a, b, f=None) -> PieceType:
         if x not in a_set or r not in r_set or not g.has_edge(x, r):
             raise ValueError("boundary edge must join the piece to an anchor")
         b_norm.add((x, r))
-    order = r_list + a_sorted
-    edges = set(f) | {edge_key(x, r) for (x, r) in b_norm}
-    code = _canon_code(_adj_matrix(order, edges), [0] * len(order), len(r_list))
+    code, _ = piece_form(r_list, a_sorted, f | b_norm)
     return PieceType(code, len(r_list), len(a_sorted), len(f) + len(b_norm))
 
 
@@ -238,12 +255,13 @@ def enumerate_decompositions(g: Graph, r_ordered, comp, induced_mode=False) -> d
     r_list = _check_anchor_list(g, r_ordered)
     r_set = set(r_list)
     comp = sorted(comp)
-    inner_all = {e for e in g.edges if e[0] in comp and e[1] in comp}
+    comp_set = set(comp)
+    inner_all = {e for e in g.edges if e[0] in comp_set and e[1] in comp_set}
     boundary_all = {}
     for (u, v) in g.edges:
-        if u in r_set and v in set(comp):
+        if u in r_set and v in comp_set:
             boundary_all.setdefault(v, set()).add((v, u))
-        elif v in r_set and u in set(comp):
+        elif v in r_set and u in comp_set:
             boundary_all.setdefault(u, set()).add((u, v))
 
     out = {}
@@ -277,24 +295,25 @@ def enumerate_decompositions(g: Graph, r_ordered, comp, induced_mode=False) -> d
             fsubs = list(_subsets(kedges))
         for fsub in fsubs:
             fset = set(fsub)
-            pieces_vs = _split_via(kset, fset)
-            per_piece = []
-            for vs in pieces_vs:
-                pf = {e for e in fset if e[0] in set(vs)}
+            # per piece: (vertices, kept inner edges, boundary choices)
+            pieces = []
+            for vs in _split_via(kset, fset):
+                vset = set(vs)
+                pf = {e for e in fset if e[0] in vset}
                 if induced_mode:
                     bedges = sorted(set().union(*(boundary_all.get(v, set()) for v in vs)))
-                    pt = g_type_of(g, r_list, vs, bedges, pf)
-                    per_piece.append([(set(bedges), pt)])
+                    options = [(set(bedges), g_type_of(g, r_list, vs, bedges, pf))]
                 else:
-                    per_piece.append(list(piece_options(vs, pf).values()))
+                    options = list(piece_options(vs, pf).values())
+                pieces.append((vs, pf, options))
+
             # cross product of per-piece boundary choices
             def expand(i, acc):
-                if i == len(pieces_vs):
+                if i == len(pieces):
                     record(acc)
                     return
-                vs = pieces_vs[i]
-                pf = {e for e in fset if e[0] in set(vs)}
-                for (bsub, pt) in per_piece[i]:
+                vs, pf, options = pieces[i]
+                for (bsub, pt) in options:
                     expand(i + 1, acc + [(vs, pf, bsub, pt)])
             expand(0, [])
     return out

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from viforge.graphs import Graph, complete_graph, path_graph
 from viforge.oracles import oracle_cds, oracle_cvc, verify_cds, verify_cvc
-from viforge.solvers.capacitated import cds_decide, cds_vi, cvc_decide, cvc_vi
+from viforge.solvers.capacitated import cds_vi, cvc_vi
 
 from conftest import BIG_BUDGET, rand_graph, rand_vi_graph, with_caps
 
@@ -39,8 +39,8 @@ def test_cvc_empty_graph():
 
 def test_cvc_decide():
     unit = Graph(3, {(0, 1), (1, 2)}, capacities={v: 1 for v in range(3)})
-    assert cvc_decide(unit, 2)
-    assert not cvc_decide(unit, 1)
+    assert cvc_vi(unit)[0] <= 2
+    assert not cvc_vi(unit)[0] <= 1
 
 
 def test_cds_frozen_values():
@@ -80,8 +80,8 @@ def test_cds_preconditions():
 def test_cds_decide():
     tight = Graph(4, {(0, 1), (0, 2), (0, 3)},
                   capacities={0: 2, 1: 1, 2: 1, 3: 1})
-    assert cds_decide(tight, 2)
-    assert not cds_decide(tight, 1)
+    assert cds_vi(tight)[0] <= 2
+    assert not cds_vi(tight)[0] <= 1
 
 
 def test_colors_are_inert():

@@ -90,7 +90,7 @@ def test_mcs_on_low_integrity_pairs(seed):
 
 
 def _reference_match_piece(rho1, piece1, rho2, piece2):
-    """Piece matching as it ran before it called ``anchored_search``: the
+    """Piece matching as it ran before it used an anchored search: the
     vertices of piece 1 in id order, each onto the smallest unused vertex
     of piece 2 with the same anchor links, kept degree and kept adjacency
     to the vertices already placed; the reference for ``_match_piece``."""
@@ -148,10 +148,12 @@ def _blocks(rng, count, most, hubs):
 
 
 def test_piece_matcher_matches_the_reference(monkeypatch):
-    # The matcher places vertices by falling degree, the reference by id,
-    # so the two can pick different maps (K4 plus the path 4-5-6-7 against
-    # K4 plus the path 4-6-5-7 is one such pair); on this stream they
-    # agree, which keeps the solvers' certificates as they were.
+    # The matcher pairs the two pieces' canonical orders, the reference
+    # places vertices by id, so the two can pick different maps when a
+    # piece has automorphisms (the path 2-1-3-4 against the path 6-7-5-8,
+    # no anchors, is one such pair: the two maps differ by the reversal);
+    # on this stream they agree, which keeps the solvers' certificates as
+    # they were.
     calls = []
     match = common_subgraph._match_piece
 

@@ -1,15 +1,34 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from viforge import graphs
 from viforge.graphs import Graph, anchored_isomorphic, components, induced, path_graph, star_graph
 from viforge.integrity import vertex_integrity
+from viforge.oracles import (
+    verify_cds,
+    verify_cvc,
+    verify_ecp,
+    verify_eqcoloring,
+    verify_imbalance,
+    verify_mcis,
+    verify_mcs,
+    verify_precoloring,
+)
+from viforge.solvers.capacitated import cds_vi, cvc_vi
+from viforge.solvers.coloring import (
+    equitable_coloring_vi,
+    equitable_connected_partition_vi,
+    precoloring_extension_vi,
+)
+from viforge.solvers.common_subgraph import mcs_vi, mcis_vi
+from viforge.solvers.imbalance import imbalance_vi
 from viforge.typesys import (
     MODES,
     classify,
     classify_detailed,
-    component_map,
     enumerate_decompositions,
     g_type_of,
     labelled_code,
@@ -206,10 +225,10 @@ def test_component_map_carries_rep_onto_every_component_of_its_type():
         s_list = sorted(vertex_integrity(g)[1].separator)
         for mode in MODES:
             groups = classify_detailed(g, s_list, mode)
-            for gi, (_, comps) in enumerate(groups):
+            for gi, (t, comps) in enumerate(groups):
                 rep = comps[0]
-                for comp in comps:
-                    phi = component_map(g, s_list, rep, comp, mode)
+                for j, comp in enumerate(comps):
+                    phi = t.member_map(s_list, j)
                     assert all(phi[s] == s for s in s_list)
                     assert sorted(phi[v] for v in rep) == comp
                     assert set(phi) == set(s_list) | set(rep)
@@ -226,8 +245,6 @@ def test_component_map_carries_rep_onto_every_component_of_its_type():
                         mapped += 1
                 for _, others in groups[gi + 1:]:
                     other = others[0]
-                    with pytest.raises(RuntimeError):
-                        component_map(g, s_list, rep, other, mode)
                     assert not nx.is_isomorphic(_nx_anchored(nx, g, s_list, rep, mode),
                                                 _nx_anchored(nx, g, s_list, other, mode),
                                                 node_match=same_key)
@@ -240,7 +257,7 @@ def test_component_map_carries_rep_onto_every_component_of_its_type():
 def _reference_isomorphic(g1, g2, anchors1, anchors2, respect_capacities, respect_colors):
     """Anchored isomorphism search over two whole graphs, as it ran on
     induced copies before the search worked in place; the reference for
-    ``anchored_isomorphic`` and ``component_map``."""
+    ``anchored_isomorphic`` and the maps of ``ComponentType.member_map``."""
     if g1.n != g2.n or g1.m != g2.m:
         return None
     adj1 = g1.adjacency()
@@ -286,6 +303,12 @@ def _reference_isomorphic(g1, g2, anchors1, anchors2, respect_capacities, respec
 
 
 def test_component_map_equals_the_search_on_induced_copies():
+    # The type's map pairs canonical orders, the reference places vertices
+    # by falling degree, so the two can pick different maps when S + rep
+    # has automorphisms (with S empty, the path 0-2-3-1 against the path
+    # 4-7-6-5 is one such pair: the two maps differ by the reversal); on
+    # this stream they agree, which keeps the solvers' certificates as
+    # they were.
     compared = refused = 0
     for seed in range(60):
         rng = random.Random(seed)
@@ -296,30 +319,83 @@ def test_component_map_equals_the_search_on_induced_copies():
         for mode in MODES:
             groups = classify_detailed(g, s_list, mode)
             flags = {"respect_capacities": mode == "capacity", "respect_colors": mode == "color"}
-            for _, comps in groups:
+            for t, comps in groups:
                 rep = comps[0]
                 sub1, m1 = induced(g, s_list + rep)
                 anchors1 = [m1[s] for s in s_list]
-                # every member of the group, and one component of each
-                # other group that no map reaches
-                for comp in comps + [cs[0] for _, cs in groups if cs[0] not in comps]:
+                # every member of the group (member j at index j), and one
+                # component of each other group that no map reaches
+                others = [cs[0] for _, cs in groups if cs[0] not in comps]
+                for j, comp in enumerate(comps + others):
                     sub2, m2 = induced(g, s_list + comp)
                     anchors2 = [m2[s] for s in s_list]
                     want = _reference_isomorphic(sub1, sub2, anchors1, anchors2, **flags)
                     assert anchored_isomorphic(sub1, sub2, anchors1, anchors2, **flags) == want
+                    assert (want is None) == (j >= len(comps))
                     if want is None:
-                        with pytest.raises(RuntimeError):
-                            component_map(g, s_list, rep, comp, mode)
                         refused += 1
                         continue
                     back = {x: v for v, x in m2.items()}
                     expect = {v: v if comp == rep else back[want[m1[v]]] for v in s_list + rep}
-                    assert component_map(g, s_list, rep, comp, mode) == expect
+                    assert t.member_map(s_list, j) == expect
                     compared += comp != rep
     assert compared >= 300 and refused >= 300
 
 
-def test_component_map_rejects_unknown_mode():
-    g = star_graph(2)
+def test_type_codes_refuse_more_than_255_anchors():
+    # the code header holds each count in one byte; 256 anchors must not
+    # read as 0
+    star = star_graph(256)
     with pytest.raises(ValueError):
-        component_map(g, [0], [1], [2], "nope")
+        type_of(star, range(1, 257), [0])
+    assert type_of(star_graph(255), range(1, 256), [0]).anchor_count == 255
+
+
+def test_solvers_make_no_isomorphism_search(monkeypatch):
+    # Equal codes give the map between the components of one type, so no
+    # solver searches for one: every anchored isomorphism search of
+    # viforge.graphs raises, at every name in the package that binds it.
+    searches = [fn for name, fn in vars(graphs).items()
+                if name.startswith("anchored_") and callable(fn)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("isomorphism search on the solver path")
+
+    for name, module in list(sys.modules.items()):
+        if name == "viforge" or name.startswith("viforge."):
+            for attr, value in list(vars(module).items()):
+                if any(value is fn for fn in searches):
+                    monkeypatch.setattr(module, attr, refuse)
+
+    for seed in (1, 4, 9, 11):
+        rng = random.Random(seed)
+        g = rand_vi_graph(rng, 8, 3)
+        k = vertex_integrity(g)[0]
+        value, order = imbalance_vi(g)
+        assert verify_imbalance(g, order, value)
+        gc = with_caps(rng, g, by_degree=True)
+        got = cvc_vi(gc)
+        assert got is not None and verify_cvc(gc, got[1], got[2])
+        gd = with_caps(rng, g, by_degree=False)
+        got = cds_vi(gd)
+        assert got is not None and verify_cds(gd, got[1], got[2])
+        # both equitable colouring branches: r <= 2k and r > 2k
+        for r in (2, 2 * k + 1):
+            got = equitable_coloring_vi(g, r)
+            assert got is None or verify_eqcoloring(g, r, got)
+        pre = {0: 1}
+        got = precoloring_extension_vi(g, pre, 3)
+        assert got is None or verify_precoloring(g, pre, 3, got)
+        h = rand_vi_graph(rng, 6, 3)
+        for solve, verify in ((mcs_vi, verify_mcs), (mcis_vi, verify_mcis)):
+            value, mapping = solve(g, h)
+            assert verify(g, h, mapping, value)
+
+    # an equitable connected partition with r <= vi < n // r, whose
+    # separator splits off a type of two components
+    g = rand_vi_graph(random.Random(20), 10, 3)
+    k, vis = vertex_integrity(g)
+    assert 2 <= k < g.n // 2
+    assert 2 in [len(cs) for _, cs in classify_detailed(g, sorted(vis.separator))]
+    parts = equitable_connected_partition_vi(g, 2)
+    assert parts is not None and verify_ecp(g, 2, parts)
