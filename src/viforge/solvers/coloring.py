@@ -356,7 +356,16 @@ def _ecp_separator_parts(g, s_list, sizes):
 
 def equitable_connected_partition_vi(g, r):
     """Partition into r connected parts with sizes differing by at most
-    one, ordered large parts first, or None."""
+    one, ordered large parts first, or None.
+
+    Parts are connected, so every component of G is a union of whole
+    parts of ``hi`` or ``lo`` vertices.  A component that holds no
+    separator vertex has at most k vertices, and no choice of the parts
+    that meet S touches it.  So when one of them cannot be cut into such
+    parts, no partition exists, and the answer is None before any
+    branch runs; where a partition exists the check always passes, so
+    it changes no yes answer.
+    """
     g.validate()
     if r < 1:
         raise ValueError("need at least one part")
@@ -366,6 +375,10 @@ def equitable_connected_partition_vi(g, r):
     k, vis = vertex_integrity(g)
     s_list = sorted(vis.separator)
     hi, lo, b = ceil(n / r), n // r, n % r
+    s_set = set(s_list)
+    for comp in components(g):
+        if s_set.isdisjoint(comp) and not _part_counts(g, comp, hi, lo):
+            return None
 
     if r <= k:
         if lo <= k:

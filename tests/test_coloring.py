@@ -207,14 +207,13 @@ def test_connected_sets_match_filtered_combinations():
 
 def test_ecp_without_a_partition_grows_parts_instead_of_filtering(tmp_path, capsys,
                                                                   monkeypatch):
-    # one separator vertex and parts of 8-9 vertices: filtering every
-    # 9-subset made 1,562,275 connectivity checks here, and splitting
-    # G minus each of the 6435 candidate parts as a whole graph made as
-    # many component splits
+    # parts of 8-9 vertices, and 11 of the graph's vertices are
+    # isolated: none of them can be such a part, so the answer is known
+    # before any part through the separator is tried
     assert run(["gen", "random-vi", "--seed", "1", "--n", "26", "--k", "2"]) == 0
     path = tmp_path / "g.txt"
     path.write_text(capsys.readouterr().out)
-    calls = {"is_connected_subset": 0, "components": 0}
+    calls = {"is_connected_subset": 0, "components": 0, "_ecp_separator_parts": 0}
 
     def counted(name):
         real = getattr(coloring, name)
@@ -229,6 +228,7 @@ def test_ecp_without_a_partition_grows_parts_instead_of_filtering(tmp_path, caps
     assert run(["solve", "ecp", str(path), "--r", "3"]) == EXIT_NO
     assert calls["is_connected_subset"] <= 1000
     assert calls["components"] <= 5
+    assert calls["_ecp_separator_parts"] == 0
 
 
 def _reference_ecp_case2(g, r, s_list, hi, lo, b):
@@ -281,3 +281,80 @@ def test_ecp_case2_equals_splitting_the_whole_graph_for_every_part():
             assert got == _reference_ecp_case2(*args), (g, r)
             answered += got is not None
     assert answered >= 200
+
+
+def _ecp_branch(g, r):
+    """The branch ``equitable_connected_partition_vi`` dispatches to on
+    (g, r), called directly, so without its separator-free check."""
+    k, vis = vertex_integrity(g)
+    s_list = sorted(vis.separator)
+    hi, lo, b = ceil(g.n / r), g.n // r, g.n % r
+    if r > k:
+        return coloring._ecp_case2(g, r, s_list, hi, lo, b)
+    if lo <= k:
+        return coloring._ecp_small(g, r)
+    return coloring._ecp_case1(g, r, s_list, hi, lo, b)
+
+
+def _with_small_components(rng, g, sizes):
+    """g plus one extra component per size (an isolated vertex, or a
+    random connected graph on a spanning path or star), relabelled."""
+    n = g.n + sum(sizes)
+    edges = set(g.edges)
+    start = g.n
+    for size in sizes:
+        star = rng.random() < 0.5
+        for i in range(1, size):
+            edges.add((start, start + i) if star else (start + i - 1, start + i))
+            for j in range(i - 1):
+                if rng.random() < 0.3:
+                    edges.add((start + j, start + i))
+        start += size
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, {tuple(sorted((perm[u], perm[v]))) for (u, v) in edges})
+
+
+def test_ecp_separator_free_check_is_exact(monkeypatch):
+    # a component of G that holds no separator vertex is a union of
+    # whole parts, so when it cannot be cut into parts of lo or hi
+    # vertices the answer is None before any branch runs; the oracle
+    # (n <= 8) and the branch itself (n <= 18) must agree
+    rng = random.Random("ecp-separator-free-components")
+    dispatched = []
+    for name in ("_ecp_small", "_ecp_case1", "_ecp_case2"):
+        real = getattr(coloring, name)
+        monkeypatch.setattr(coloring, name,
+                            lambda *a, real=real, name=name: dispatched.append(name) or real(*a))
+    fired = passed_to_yes = sized = checked = fired_in_oracle_reach = 0
+    for _ in range(120):
+        base = rand_vi_graph(rng, rng.randint(2, 12), rng.randint(2, 3))
+        extra = [rng.choice([1, 1, 2, 3, 4]) for _ in range(rng.randint(1, 3))]
+        g = _with_small_components(rng, base, extra)
+        if g.n > 18:
+            continue
+        _, vis = vertex_integrity(g)
+        free = [c for c in components(g) if not set(c) & set(vis.separator)]
+        for r in range(1, g.n + 1):
+            dispatched.clear()
+            got = equitable_connected_partition_vi(g, r)
+            hi, lo = ceil(g.n / r), g.n // r
+            if got is None and not dispatched:
+                fired += 1
+                fired_in_oracle_reach += g.n <= 8
+                # a separator-free component without any (p, q) option
+                assert any(not coloring._part_counts(g, c, hi, lo) for c in free), (g, r)
+            elif got is not None and free:
+                passed_to_yes += 1
+                sized += any(len(c) in (hi, lo) and len(c) > 1 for c in free)
+            if g.n <= 8:
+                want = oracle_ecp(g, r, budget=BIG_BUDGET)
+                assert (got is None) == (want is None), (g, r)
+                if got is not None:
+                    assert verify_ecp(g, r, got), (g, r)
+            else:
+                assert got == _ecp_branch(g, r), (g, r)
+            checked += 1
+    assert checked >= 1000
+    assert fired >= 400 and fired_in_oracle_reach >= 50
+    assert passed_to_yes >= 300 and sized >= 150
