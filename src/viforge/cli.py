@@ -20,7 +20,7 @@ from . import oracles
 from .graphs import Graph, edge_key
 from .instances import (GraphInstance, ParseError, PartitionInstance, generate,
                         instance_sha256, parse, serialize)
-from .integrity import cover_at_most, vi_k_set
+from .integrity import cover_at_most, matching_size, vi_k_set
 from .poly import (MotifInstance, PreconditionError, SteinerInstance,
                    binary_mmoo_vc2, graph_motif_vi3, steiner_forest_xp_vc,
                    usf_solve)
@@ -103,7 +103,7 @@ def _bounded_params(g: Graph, limit=8):
                 report["vi"] = k
                 report["vis"] = vis
                 break
-    for k in range(0, limit + 1):
+    for k in range(matching_size(g.edges), limit + 1):
         got = cover_at_most(g.edges, k)
         if got is not None:
             report["vc"] = len(got)

@@ -3,6 +3,12 @@
 The central object is a vi(k)-set: a vertex set S such that every component C
 of G - S satisfies |S| + |V(C)| <= k.  The solvers delete such a set first
 and exploit that what remains splits into pieces of bounded size.
+
+``vi_k_set`` branches on which vertex of a too-big component joins S and
+prunes every branch that a degree or component count shows cannot be
+completed, so it returns the same set as the unpruned search.  The vertex
+cover searches start at the size of a greedy maximal matching, a lower
+bound on the vertex cover number.
 """
 
 from dataclasses import dataclass
@@ -34,18 +40,44 @@ def vi_k_set(g: Graph, k: int):
     first in smallest-vertex order), grow a connected probe T of
     k - |S| + 1 vertices inside C (breadth-first from C's smallest vertex,
     neighbours in index order) and branch on which probe vertex joins S.
-    Any vi(k)-set extending S must hit T, so the branching is exhaustive;
-    branches die once |S| exceeds k.  G is split once; a branch re-splits
-    only the component it took a vertex from.
+    Any vi(k)-set extending S must hit T, so the branching is exhaustive,
+    and the search returns the first vi(k)-set it reaches in this order.
+
+    With room = k - |S|, a branch ends at once when no vi(k)-set S'
+    extends S.  While some component C is too big, |S| + |C| > k, so G
+    has more than k vertices, G - S' is not empty, |S'| <= k - 1, and S'
+    adds at most room - 1 vertices to S.  The branch ends when
+
+    - room or more components are too big, since each must lose a
+      vertex of its own; with room 1 one too-big component is enough;
+    - room or more vertices have at least room neighbours in G - S: a
+      vertex u left out of S' lies in a component C of G - S' with
+      |S'| + |C| >= |S| + 1 + deg_{G-S}(u), so every such u joins S'.
+      Such a u lies in a too-big component, so the count alone shows
+      one exists, and at the root this test runs before G is split.
+      Degrees in G - S are kept up to date as S grows.
+
+    A branch's outcome depends on S alone, so a separator whose branch
+    failed is remembered for the rest of the call and not searched again
+    when another order of the same vertices reaches it.  The prunes and
+    this memo cut only subtrees that hold no vi(k)-set, so the first set
+    found is the one the unpruned search finds.  G is split once and
+    a branch re-splits only the component it took a vertex from; a probe
+    vertex with one neighbour in that component leaves it connected, so
+    its piece is the component minus that vertex, with no split.
+    Singleton components are dropped: while room >= 1 they are never too
+    big, and branching stops before room reaches 0.
     """
     if k < 1:
         if g.n == 0 and k == 0:
             return ViSet((), 0)
         return None
     adj = g.adjacency()
+    deg = [len(nb) for nb in adj]           # degrees in G - S, off S
+    failed = set()                          # separators whose branch failed
 
-    def probe(comp, in_comp, s):
-        want = k - len(s) + 1
+    def probe(comp, in_comp, room):
+        want = room + 1
         start = comp[0]
         order = [start]
         seen = {start}
@@ -62,25 +94,39 @@ def vi_k_set(g: Graph, k: int):
         return order
 
     def branch(s, comps):
-        # comps: the components of G - S, ordered by smallest vertex
+        # comps: the components of G - S with two or more vertices,
+        # ordered by smallest vertex
         room = k - len(s)
-        for at, comp in enumerate(comps):
-            if len(comp) > room:
-                break
-        else:
+        big = [comp for comp in comps if len(comp) > room]
+        if not big:
             return sorted(s)
-        if room <= 0:
-            return None
-        in_comp = set(comp)
-        rest = comps[:at] + comps[at + 1:]
-        for v in probe(comp, in_comp, s):
-            pieces = split(adj, in_comp - {v})
-            got = branch(s | {v}, sorted(rest + pieces))
-            if got is not None:
-                return got
+        budget = room - 1           # vertices S' may still add
+        if len(big) <= budget and \
+                sum(deg[u] >= room for comp in big for u in comp) <= budget:
+            comp = big[0]
+            in_comp = set(comp)
+            rest = [c for c in comps if c is not comp]
+            for v in probe(comp, in_comp, room):
+                t = s | {v}
+                if t in failed:
+                    continue
+                if deg[v] == 1:
+                    pieces = [[u for u in comp if u != v]]
+                else:
+                    pieces = [p for p in split(adj, in_comp - {v}) if len(p) > 1]
+                for w in adj[v]:
+                    deg[w] -= 1
+                got = branch(t, sorted(rest + pieces))
+                for w in adj[v]:
+                    deg[w] += 1
+                if got is not None:
+                    return got
+        failed.add(s)
         return None
 
-    got = branch(set(), components(g))
+    if sum(d >= k for d in deg) >= k:
+        return None
+    got = branch(frozenset(), [comp for comp in components(g) if len(comp) > 1])
     if got is None:
         return None
     return ViSet(tuple(got), k)
@@ -124,9 +170,22 @@ def cover_at_most(edges, k):
     return picks if branch(0, k) else None
 
 
+def matching_size(edges) -> int:
+    """Size of a greedy maximal matching of the edge set ``edges``, taken
+    in sorted order.  Every vertex cover holds an endpoint of each
+    matched edge, so this is a lower bound on the vertex cover number."""
+    matched = set()
+    for (u, v) in sorted(edges):
+        if u not in matched and v not in matched:
+            matched.add(u)
+            matched.add(v)
+    return len(matched) // 2
+
+
 def vertex_cover_min(g: Graph) -> list:
-    """A minimum vertex cover via bounded edge branching."""
-    for k in range(g.n + 1):
+    """A minimum vertex cover via bounded edge branching, trying budgets
+    upward from a matching lower bound."""
+    for k in range(matching_size(g.edges), g.n + 1):
         got = cover_at_most(g.edges, k)
         if got is not None:
             return sorted(got)

@@ -145,14 +145,40 @@ def classify_detailed(g: Graph, s_ordered, mode="plain"):
     Returns a list of (ComponentType, [component vertex lists]) sorted by
     code; component lists keep the smallest-vertex order, and the type's
     ``orders`` holds each member's canonical order, aligned with the list.
+
+    Within one call the canonical form is computed once per labelled
+    pattern: for each vertex of the sorted component, its S-link bitmask
+    (bit i for the i-th anchor), its in-component neighbour bitmask by
+    position and its attribute.  The pattern fixes the matrix and the
+    attribute vector that ``_canon_form`` reads over S + C (the anchor
+    rows are the same for every component), so components with one
+    pattern get the same code and the same canonical positions.
     """
     s_list = _check_anchor_list(g, s_ordered)
+    adj = g.adjacency()
+    s_bit = {v: 1 << i for i, v in enumerate(s_list)}
+    forms = {}                  # pattern -> (code, canonical positions)
     groups = {}
     for comp in components(g, set(s_list)):
-        code, order = _component_form(g, s_list, comp, mode)
+        at = {v: j for j, v in enumerate(comp)}
+        links = []
+        for u in comp:
+            s_mask = c_mask = 0
+            for w in adj[u]:
+                if w in s_bit:
+                    s_mask |= s_bit[w]
+                else:
+                    c_mask |= 1 << at[w]
+            links.append((s_mask, c_mask))
+        pattern = (tuple(links), tuple(_attr_vector(g, comp, mode)))
+        form = forms.get(pattern)
+        if form is None:
+            code, order = _component_form(g, s_list, comp, mode)
+            form = forms[pattern] = (code, tuple(at[v] for v in order))
+        code, positions = form
         comps, orders = groups.setdefault(code, ([], []))
         comps.append(comp)
-        orders.append(order)
+        orders.append(tuple(comp[j] for j in positions))
     return [(ComponentType(code, len(s_list), len(comps[0]), tuple(orders)), comps)
             for code, (comps, orders) in sorted(groups.items())]
 

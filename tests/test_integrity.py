@@ -1,8 +1,12 @@
 import random
+from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
+from viforge import integrity
+from viforge.cli import run
 from viforge.graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph, components
+from viforge.instances import parse_text
 from viforge.integrity import ViSet, cover_at_most, vertex_cover_min, vertex_integrity, vi_k_set
 from viforge.oracles import oracle_vertex_integrity, oracle_vertex_cover
 
@@ -99,9 +103,14 @@ def test_witness_components_are_small():
             assert len(s) + len(comp) <= k
 
 
-def _reference_vi_k_set(g, k):
-    """The vi(k)-set branching with G - S split afresh at every branch."""
+def _reference_vi_k_set(g, k, seen=None):
+    """The vi(k)-set branching with G - S split afresh at every branch and
+    no prunes.  A branch's answer depends on S alone, so the separators
+    whose branch failed are remembered and not searched again.  ``seen``
+    counts the branches where each of ``vi_k_set``'s prunes would end the
+    search."""
     adj = g.adjacency()
+    failed = set()
 
     def probe(comp, s):
         want = k - len(s) + 1
@@ -118,15 +127,23 @@ def _reference_vi_k_set(g, k):
         return order
 
     def branch(s):
-        comp = next((c for c in components(g, s) if len(s) + len(c) > k), None)
-        if comp is None:
+        if frozenset(s) in failed:
+            return None
+        big = [c for c in components(g, s) if len(s) + len(c) > k]
+        if not big:
             return sorted(s)
         if len(s) >= k:
             return None
-        for v in probe(comp, s):
+        if seen is not None:
+            room = k - len(s)
+            seen["room 1"] += room == 1
+            seen["components"] += len(big) >= room
+            seen["degrees"] += sum(len(adj[u] - s) >= room for c in big for u in c) >= room
+        for v in probe(big[0], s):
             got = branch(s | {v})
             if got is not None:
                 return got
+        failed.add(frozenset(s))
         return None
 
     got = branch(set())
@@ -162,6 +179,55 @@ def test_vi_k_set_equals_splitting_the_whole_graph_at_every_branch():
                 assert got == _reference_vi_k_set(g, k), (g, k)
                 found += got is not None
     assert found >= 250
+
+
+def test_vi_k_set_equals_the_unpruned_search_for_every_k():
+    # stars and paths reach the degree prune, sparse random graphs several
+    # too-big components, and every search that gets deep the room-1 case
+    rng = random.Random(14)
+    graphs = [star_graph(leaves) for leaves in (2, 3, 4, 7, 12, 25, 60)]
+    graphs += [path_graph(n) for n in range(1, 16)]
+    for _ in range(200):
+        graphs.append(rand_vi_graph(rng, rng.randint(1, 30), rng.randint(1, 5)))
+        graphs.append(rand_graph(rng, rng.randint(1, 11), p=rng.choice([0.3, 0.5, 0.7])))
+    seen = Counter()
+    answers = Counter()
+    for g in graphs:
+        vi = vertex_integrity(g)[0]
+        for k in range(vi + 2):
+            got = vi_k_set(g, k)
+            assert got == _reference_vi_k_set(g, k, seen), (g, k)
+            answers[got is not None] += 1
+    assert answers[True] >= 700 and answers[False] >= 1200, answers
+    assert min(seen[rule] for rule in ("room 1", "components", "degrees")) >= 1000, seen
+
+
+def test_vi_k_set_splits_little_at_vi_8(capsys, monkeypatch):
+    # without its prunes the search makes 238,307 splits here, of
+    # components of up to 294 vertices
+    assert run(["gen", "random-vi", "--seed", "1", "--n", "300", "--k", "8"]) == 0
+    g = parse_text(capsys.readouterr().out).graph
+    splits = 0
+    real = integrity.split
+
+    def counted(*args):
+        nonlocal splits
+        splits += 1
+        return real(*args)
+
+    monkeypatch.setattr(integrity, "split", counted)
+    assert vertex_integrity(g) == (8, ViSet((63, 129, 165, 186, 209, 244), 8))
+    assert splits <= 1000
+
+
+def test_dense_graph_with_vi_9_matches_the_oracle():
+    # 12 vertices and 36 edges: every k below 9 is a failed exhaustive
+    # search unless branches are pruned
+    g = rand_graph(random.Random(1), 12, p=0.5)
+    k, wit = vertex_integrity(g)
+    assert k == 9 and wit.check(g)
+    assert k == oracle_vertex_integrity(g, budget=BIG_BUDGET)[0]
+    assert vi_k_set(g, k - 1) is None
 
 
 def _reference_cover(edges, k):

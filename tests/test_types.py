@@ -4,7 +4,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from viforge import graphs
+from viforge import graphs, typesys
 from viforge.graphs import Graph, anchored_isomorphic, components, induced, path_graph, star_graph
 from viforge.integrity import vertex_integrity
 from viforge.oracles import (
@@ -177,6 +177,7 @@ def _relabel_with_colors(g: Graph, perm):
     return Graph(
         g.n,
         {(perm[u], perm[v]) for (u, v) in g.edges},
+        capacities=None if g.capacities is None else {perm[v]: c for v, c in g.capacities.items()},
         colors=None if g.colors is None else {perm[v]: c for v, c in g.colors.items()},
     )
 
@@ -199,6 +200,44 @@ def test_classification_invariant_under_relabeling(seed):
     left = sorted((t.code, c) for t, c in classify(g, s, mode=mode).items())
     right = sorted((t.code, c) for t, c in classify(h, s2, mode=mode).items())
     assert left == right
+
+
+def _reference_classify_detailed(g: Graph, s_list, mode):
+    """classify_detailed with a canonical form computed for every
+    component: [(code, anchors, size, member lists, canonical orders)]."""
+    groups = {}
+    for comp in components(g, set(s_list)):
+        code, order = typesys._component_form(g, s_list, comp, mode)
+        comps, orders = groups.setdefault(code, ([], []))
+        comps.append(comp)
+        orders.append(order)
+    return [(code, len(s_list), len(comps[0]), comps, tuple(orders))
+            for code, (comps, orders) in sorted(groups.items())]
+
+
+def test_classify_detailed_equals_a_canonical_form_per_component():
+    # wide-style graphs: one or two hubs and many small chunks with random
+    # hub links, capacities and colors, so many components share a
+    # pattern and many share a shape but differ in hub links or
+    # attributes; relabelled copies list each pattern in other orders
+    rng = random.Random(23)
+    components_seen = types_seen = 0
+    for _ in range(12):
+        g = rand_vi_graph(rng, rng.randint(40, 90), rng.randint(3, 4))
+        g = with_colors(rng, with_caps(rng, g, by_degree=False), 2)
+        s_list = sorted(vertex_integrity(g)[1].separator)
+        rng.shuffle(s_list)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        copy = _relabel_with_colors(g, perm)
+        for h, anchors in ((g, s_list), (copy, [perm[v] for v in s_list])):
+            for mode in MODES:
+                got = [(t.code, t.anchor_count, t.size, comps, t.orders)
+                       for t, comps in classify_detailed(h, anchors, mode)]
+                assert got == _reference_classify_detailed(h, anchors, mode)
+                components_seen += sum(len(comps) for *_, comps, _ in got)
+                types_seen += len(got)
+    assert types_seen >= 500 and components_seen >= 3 * types_seen, (types_seen, components_seen)
 
 
 def _nx_anchored(nx, g: Graph, s_list, comp, mode):
