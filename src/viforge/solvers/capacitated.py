@@ -16,7 +16,7 @@ from ..graphs import edge_key
 from ..ilp import optimize
 from ..integrity import vertex_integrity
 from ..typesys import classify_detailed
-from .configuration import configuration_ip, place
+from .configuration import best, columns, configuration_ip, place
 
 
 def _pareto(signatures, dominates):
@@ -63,30 +63,16 @@ def _cvc_signatures(g, s_list, x_s, comp):
                 out[sig] = dict(assign)
             return
         u, v = edges[i]
-        # u is always the component endpoint
-        if load_c.get(u, 0) < g.capacities[u]:
-            load_c[u] = load_c.get(u, 0) + 1
-            assign[edge_key(u, v)] = u
-            walk(i + 1, load_c, load_s, assign)
-            load_c[u] -= 1
-            del assign[edge_key(u, v)]
-        receiver = None
-        if v in comp_set and load_c.get(v, 0) < g.capacities[v]:
-            receiver = ("c", v)
-        elif v in x_s and load_s[v] < g.capacities[v]:
-            receiver = ("s", v)
-        if receiver is not None:
-            kind, r = receiver
-            if kind == "c":
-                load_c[r] = load_c.get(r, 0) + 1
-            else:
-                load_s[r] += 1
+        # u is always the component endpoint; v may take the edge when it
+        # is a component vertex or an x_s vertex
+        v_load = load_c if v in comp_set else load_s if v in x_s else None
+        for r, load in ((u, load_c), (v, v_load)):
+            if load is None or load.get(r, 0) >= g.capacities[r]:
+                continue
+            load[r] = load.get(r, 0) + 1
             assign[edge_key(u, v)] = r
             walk(i + 1, load_c, load_s, assign)
-            if kind == "c":
-                load_c[r] -= 1
-            else:
-                load_s[r] -= 1
+            load[r] -= 1
             del assign[edge_key(u, v)]
 
     walk(0, {}, {v: 0 for v in x_sorted}, {})
@@ -97,12 +83,49 @@ def _cvc_signatures(g, s_list, x_s, comp):
     return _pareto(out, dominates)
 
 
+def _with_picks(g, groups, held, choices, catalogue):
+    """Yield (picks, cols, res) for every pick from the ``choices`` lists
+    whose loads on the ``held`` vertices fit their capacities; res holds
+    the residual capacities.  The columns are built at the first such
+    pick, and nothing is yielded when a group's catalogue is empty."""
+    cols = None
+    for picks in product(*choices):
+        load = dict.fromkeys(held, 0)
+        for v in picks:
+            load[v] += 1
+        if any(load[v] > g.capacities[v] for v in held):
+            continue
+        if cols is None:
+            cols = columns(groups, catalogue)
+            if cols is None:
+                return
+        yield picks, cols, {v: g.capacities[v] - load[v] for v in held}
+
+
+def _solve_loads(s_list, groups, cols, res, rows=()):
+    """Smallest total of the columns' first signature entries whose loads
+    (the second entry, per vertex of sorted ``res``) fit the residual
+    capacities ``res`` and meet the extra ``rows``: (value, ``place``'s
+    triples), or None."""
+    rows = [(tuple(sig[1][j] for _, (sig, _) in cols), "<=", res[v])
+            for j, v in enumerate(sorted(res))] + list(rows)
+    obj = [sig[0] for _, (sig, _) in cols]
+    got = optimize(configuration_ip(groups, cols, rows, (obj, "min")))
+    if got is None:
+        return None
+    point, value = got
+    return value, place(s_list, groups, cols, point)
+
+
 def cvc_vi(g):
     """Minimum capacitated vertex cover.
 
     Returns (size, cover, assignment) where assignment maps every edge
     to the cover vertex absorbing it, or None when no cover exists.
     Capacities must be present and at most the degree.
+
+    A guess is the cover part x_s of S and, per edge inside S, the x_s
+    endpoint that absorbs it.
     """
     g.validate()
     if g.capacities is None:
@@ -115,66 +138,36 @@ def cvc_vi(g):
 
     _, vis = vertex_integrity(g)
     s_list = sorted(vis.separator)
-    s_edges = sorted(e for e in g.edges if e[0] in set(s_list) and e[1] in set(s_list))
+    s_set = set(s_list)
+    s_edges = sorted(e for e in g.edges if e[0] in s_set and e[1] in s_set)
     groups = classify_detailed(g, s_list, mode="capacity")
 
-    best = None
-    for x_size in range(len(s_list) + 1):
-        for x_s in combinations(s_list, x_size):
-            x_set = set(x_s)
-            choice_sets = []
-            for (u, v) in s_edges:
-                opts = [w for w in (u, v) if w in x_set]
-                choice_sets.append(opts)
-            if any(not opts for opts in choice_sets):
-                continue
-            sig_cache = {}
-            for picks in product(*choice_sets):
-                load0 = {v: 0 for v in x_s}
-                for w in picks:
-                    load0[w] += 1
-                if any(load0[v] > g.capacities[v] for v in x_s):
-                    continue
-                res = {v: g.capacities[v] - load0[v] for v in x_s}
-                got = _cvc_solve_guess(g, s_list, groups, x_s, res, sig_cache)
-                if got is None:
-                    continue
-                inner, cover_c, assign_c = got
-                total = len(x_s) + inner
-                if best is None or total < best[0]:
-                    f_s = {edge_key(u, v): w for (u, v), w in zip(s_edges, picks)}
-                    cover = sorted(x_set | cover_c)
-                    assign = dict(assign_c)
-                    assign.update(f_s)
-                    best = (total, cover, assign)
-    return best
+    def guesses():
+        for x_size in range(len(s_list) + 1):
+            for x_s in combinations(s_list, x_size):
+                x_set = set(x_s)
+                choices = [[w for w in e if w in x_set] for e in s_edges]
+                for picks, cols, res in _with_picks(g, groups, x_s, choices, lambda rep: (
+                        _cvc_signatures(g, s_list, x_set, rep))):
+                    yield x_s, picks, cols, res
 
-
-def _cvc_solve_guess(g, s_list, groups, x_s, res, sig_cache):
-    cols = []
-    for gi, (t, comps) in enumerate(groups):
-        if t.code not in sig_cache:
-            sig_cache[t.code] = _cvc_signatures(g, s_list, set(x_s), comps[0])
-        if not sig_cache[t.code]:
+    def solve(guess):
+        x_s, picks, cols, res = guess
+        got = _solve_loads(s_list, groups, cols, res)
+        if got is None:
             return None
-        cols += [(gi, item) for item in sorted(sig_cache[t.code].items())]
-    rows = [(tuple(sig[1][j] for _, (sig, _) in cols), "<=", res[v])
-            for j, v in enumerate(sorted(x_s))]
-    obj = [sig[0] for _, (sig, _) in cols]
-    got = optimize(configuration_ip(groups, cols, rows, (obj, "min")))
-    if got is None:
-        return None
-    point, value = got
+        inner, placed = got
+        cover = set(x_s)
+        assign = {}
+        for _, phi, (_, wit) in placed:
+            for (u, v), r in wit.items():
+                assign[edge_key(phi[u], phi[v])] = phi[r]
+                if phi[r] not in s_set:
+                    cover.add(phi[r])
+        assign.update({edge_key(u, v): w for (u, v), w in zip(s_edges, picks)})
+        return len(x_s) + inner, sorted(cover), assign
 
-    s_set = set(s_list)
-    cover = set()
-    assign = {}
-    for _, phi, (_, wit) in place(s_list, groups, cols, point):
-        for (u, v), r in wit.items():
-            assign[edge_key(phi[u], phi[v])] = phi[r]
-            if phi[r] not in s_set:
-                cover.add(phi[r])
-    return value, cover, assign
+    return best(guesses(), solve, key=lambda got: got[0])
 
 
 # ------------------------------------------------------------ domination
@@ -208,40 +201,26 @@ def _cds_signatures(g, s_list, d_s, b_s, comp):
                 opts = [None] + [u for u in sorted(g.neighbors(b) & d_cset)]
                 opts_b.append(opts)
             for pick_rest in product(*opts_rest):
+                load_c = dict.fromkeys(d_c, 0)
+                load_s = dict.fromkeys(d_sorted, 0)
+                for kind, u in pick_rest:
+                    (load_c if kind == "c" else load_s)[u] += 1
+                if any(load_s[u] > g.capacities[u] for u in d_sorted):
+                    continue
+                loads = tuple(load_s[u] for u in d_sorted)
                 for pick_b in product(*opts_b):
-                    load_c = {u: 0 for u in d_c}
-                    load_s = {u: 0 for u in d_sorted}
-                    fmap = {}
-                    ok = True
-                    for v, (kind, u) in zip(rest, pick_rest):
-                        fmap[v] = u
-                        if kind == "c":
-                            load_c[u] += 1
-                            if load_c[u] > g.capacities[u]:
-                                ok = False
-                                break
-                        else:
-                            load_s[u] += 1
-                    if not ok:
+                    load_b = dict(load_c)
+                    for u in pick_b:
+                        if u is not None:
+                            load_b[u] += 1
+                    if any(load_b[u] > g.capacities[u] for u in d_c):
                         continue
-                    covered = []
-                    for b, u in zip(b_sorted, pick_b):
-                        if u is None:
-                            continue
-                        fmap[b] = u
-                        load_c[u] += 1
-                        covered.append(b)
-                    if any(load_c[u] > g.capacities[u] for u in d_c):
-                        continue
-                    if any(load_s[u] > g.capacities[u] for u in d_sorted):
-                        continue
-                    sig = (
-                        len(d_c),
-                        tuple(load_s[u] for u in d_sorted),
-                        frozenset(covered),
-                    )
+                    sig = (len(d_c), loads,
+                           frozenset(b for b, u in zip(b_sorted, pick_b) if u is not None))
                     if sig not in out:
-                        out[sig] = (set(d_c), dict(fmap))
+                        fmap = {v: u for v, (_, u) in zip(rest, pick_rest)}
+                        fmap.update((b, u) for b, u in zip(b_sorted, pick_b) if u is not None)
+                        out[sig] = (set(d_c), fmap)
 
     def dominates(a, b):
         return a[0] <= b[0] and all(x <= y for x, y in zip(a[1], b[1])) and a[2] >= b[2]
@@ -255,6 +234,10 @@ def cds_vi(g):
     Returns (size, dominating set, dominator map) where the map sends
     every vertex outside the set to the neighbour dominating it, or
     None when no assignment exists.  Needs vertex capacities.
+
+    A guess gives each separator vertex a role (dominator d_s, dominated
+    inside S as a_s, or dominated by a component as b_s) and each a_s
+    vertex its d_s dominator.
     """
     g.validate()
     if g.capacities is None:
@@ -266,69 +249,41 @@ def cds_vi(g):
     s_list = sorted(vis.separator)
     groups = classify_detailed(g, s_list, mode="capacity")
 
-    best = None
-    for roles in product(range(3), repeat=len(s_list)):
-        d_s = {v for v, r in zip(s_list, roles) if r == 0}
-        a_s = [v for v, r in zip(s_list, roles) if r == 1]
-        b_s = {v for v, r in zip(s_list, roles) if r == 2}
-        opts = [sorted(g.neighbors(v) & d_s) for v in a_s]
-        if any(not o for o in opts):
-            continue
-        sig_cache = {}
-        for picks in product(*opts):
-            load0 = {u: 0 for u in d_s}
-            ok = True
-            for u in picks:
-                load0[u] += 1
-                if load0[u] > g.capacities[u]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            res = {u: g.capacities[u] - load0[u] for u in d_s}
-            got = _cds_solve_guess(g, s_list, groups, d_s, b_s, res, sig_cache)
-            if got is None:
-                continue
-            inner, d_comp, fmap_comp = got
-            total = len(d_s) + inner
-            if best is None or total < best[0]:
-                fmap = dict(fmap_comp)
-                fmap.update({v: u for v, u in zip(a_s, picks)})
-                best = (total, sorted(d_s | d_comp), fmap)
-    return best
+    def guesses():
+        for roles in product(range(3), repeat=len(s_list)):
+            d_s = {v for v, r in zip(s_list, roles) if r == 0}
+            a_s = [v for v, r in zip(s_list, roles) if r == 1]
+            b_s = {v for v, r in zip(s_list, roles) if r == 2}
+            choices = [sorted(g.neighbors(v) & d_s) for v in a_s]
+            for picks, cols, res in _with_picks(g, groups, d_s, choices, lambda rep: (
+                    _cds_signatures(g, s_list, d_s, b_s, rep))):
+                yield d_s, dict(zip(a_s, picks)), b_s, cols, res
 
-
-def _cds_solve_guess(g, s_list, groups, d_s, b_s, res, sig_cache):
-    cols = []
-    for gi, (t, comps) in enumerate(groups):
-        if t.code not in sig_cache:
-            sig_cache[t.code] = _cds_signatures(g, s_list, d_s, b_s, comps[0])
-        if not sig_cache[t.code]:
+    def solve(guess):
+        d_s, a_picks, b_s, cols, res = guess
+        # every b_s vertex is dominated by some component
+        cover_rows = [(tuple(int(b in sig[2]) for _, (sig, _) in cols), ">=", 1)
+                      for b in sorted(b_s)]
+        got = _solve_loads(s_list, groups, cols, res, cover_rows)
+        if got is None:
             return None
-        cols += [(gi, item) for item in sorted(sig_cache[t.code].items())]
-    rows = [(tuple(sig[1][j] for _, (sig, _) in cols), "<=", res[u])
-            for j, u in enumerate(sorted(d_s))]
-    rows += [(tuple(int(b in sig[2]) for _, (sig, _) in cols), ">=", 1)
-             for b in sorted(b_s)]
-    obj = [sig[0] for _, (sig, _) in cols]
-    got = optimize(configuration_ip(groups, cols, rows, (obj, "min")))
-    if got is None:
-        return None
-    point, value = got
+        inner, placed = got
+        dom = set(d_s)
+        fmap = {}
+        remaining = set(b_s)
+        for _, phi, ((_, _, covered), (d_c, wit)) in placed:
+            dom.update(phi[v] for v in d_c)
+            for v, u in wit.items():
+                if v in covered:
+                    # separator vertex dominated by this component
+                    if v in remaining:
+                        remaining.discard(v)
+                        fmap[v] = phi[u]
+                else:
+                    fmap[phi[v]] = phi[u]
+        if remaining:
+            raise RuntimeError("coverage constraint left separator vertices out")
+        fmap.update(a_picks)
+        return len(d_s) + inner, sorted(dom), fmap
 
-    d_comp = set()
-    fmap = {}
-    remaining = set(b_s)
-    for _, phi, ((_, _, covered), (d_c, wit)) in place(s_list, groups, cols, point):
-        d_comp.update(phi[v] for v in d_c)
-        for v, u in wit.items():
-            if v in covered:
-                # separator vertex dominated by this component
-                if v in remaining:
-                    remaining.discard(v)
-                    fmap[v] = phi[u]
-            else:
-                fmap[phi[v]] = phi[u]
-    if remaining:
-        raise RuntimeError("coverage constraint left separator vertices out")
-    return value, d_comp, fmap
+    return best(guesses(), solve, key=lambda got: got[0])

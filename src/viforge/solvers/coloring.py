@@ -15,10 +15,16 @@ from ..graphs import components, is_connected_subset, split
 from ..ilp import feasible
 from ..integrity import vertex_integrity
 from ..typesys import classify_detailed, labelled_code
-from .configuration import configuration_ip, place
+from .configuration import best, columns, configuration_ip, place
 
 
 # ------------------------------------------------------- precolouring
+
+
+def _proper_on(g, vertices, col):
+    """Whether ``col`` gives no two adjacent ``vertices`` the same colour."""
+    return not any(g.has_edge(u, v) and col[u] == col[v]
+                   for i, u in enumerate(vertices) for v in vertices[i + 1:])
 
 
 def _extend_component(g, comp, lists, col):
@@ -83,21 +89,15 @@ def precoloring_extension_vi(g, precolored, r):
     removed = u_set | set(dropped)
     comps = components(g, removed | set(alive))
 
-    for picks in product(*[lists[v] for v in alive]):
-        col = dict(zip(alive, picks))
-        if any(
-            g.has_edge(a, b) and col[a] == col[b]
-            for i, a in enumerate(alive)
-            for b in alive[i + 1:]
-        ):
-            continue
-        ok = True
-        for comp in comps:
-            if not _extend_component(g, comp, lists, col):
-                ok = False
-                break
-        if not ok:
-            continue
+    def guesses():
+        for picks in product(*[lists[v] for v in alive]):
+            col = dict(zip(alive, picks))
+            if _proper_on(g, alive, col):
+                yield col
+
+    def solve(col):
+        if not all(_extend_component(g, comp, lists, col) for comp in comps):
+            return None
         col.update(precolored)
         for v in reversed(dropped):
             taken = {col[u] for u in g.neighbors(v) if u in col}
@@ -106,7 +106,8 @@ def precoloring_extension_vi(g, precolored, r):
                 raise RuntimeError("delayed separator vertex ran out of colours")
             col[v] = free[0]
         return col
-    return None
+
+    return best(guesses(), solve)
 
 
 # -------------------------------------------------- equitable colouring
@@ -161,7 +162,15 @@ def _eqcol_classes(s_list, groups, cols, rhs):
 
 def equitable_coloring_vi(g, r):
     """Proper colouring with colours 1..r whose class sizes differ by at
-    most one, or None."""
+    most one, or None.
+
+    A guess colours S and fixes ``big``, the number of classes of size
+    n // r + 1 among the c classes that may touch S.  With r <= 2k all r
+    classes may, and big = n % r.  With more colours than twice the
+    separator budget only colours 1..k touch S: component vertices may
+    also take the free class 0, whose vertices are coloured round-robin
+    with the r - k spare colours at the end.
+    """
     g.validate()
     if r < 1:
         raise ValueError("need at least one colour")
@@ -172,68 +181,45 @@ def equitable_coloring_vi(g, r):
     s_list = sorted(vis.separator)
     b = n % r
     groups = classify_detailed(g, s_list)
-
     if r <= 2 * k:
-        targets = _class_targets(n, r, b)
-        for picks in product(range(1, r + 1), repeat=len(s_list)):
-            assign = dict(zip(s_list, picks))
-            if any(
-                g.has_edge(u, v) and assign[u] == assign[v]
-                for i, u in enumerate(s_list)
-                for v in s_list[i + 1:]
-            ):
-                continue
-            rhs = [
-                targets[i] - sum(1 for v in s_list if assign[v] == i + 1)
-                for i in range(r)
-            ]
-            if any(x < 0 for x in rhs):
-                continue
-            cols = [(gi, item) for gi, (_, cs) in enumerate(groups) for item in
-                    sorted(_eqcol_vectors(g, s_list, assign, cs[0], range(1, r + 1), None).items())]
-            classed = _eqcol_classes(s_list, groups, cols, rhs)
-            if classed is None:
-                continue
-            col = dict(assign)
-            col.update(classed)
-            return col
-        return None
+        c, free, bigs = r, None, [b]
+    else:
+        c, free, bigs = k, 0, range(max(0, b - (r - k)), min(k, b) + 1)
 
-    # more colours than twice the separator budget: only colours 1..k may
-    # touch the separator, the rest are filled round-robin at the end
-    spare = r - k
-    for picks in product(range(1, k + 1), repeat=len(s_list)):
-        assign = dict(zip(s_list, picks))
-        if any(
-            g.has_edge(u, v) and assign[u] == assign[v]
-            for i, u in enumerate(s_list)
-            for v in s_list[i + 1:]
-        ):
-            continue
-        cols = [(gi, item) for gi, (_, cs) in enumerate(groups) for item in
-                sorted(_eqcol_vectors(g, s_list, assign, cs[0], range(1, k + 1), 0).items())]
-        for big in range(max(0, b - spare), min(k, b) + 1):
-            targets = _class_targets(n, r, 0)
-            head = [n // r + (1 if i < big else 0) for i in range(k)]
-            rhs = [
-                head[i] - sum(1 for v in s_list if assign[v] == i + 1)
-                for i in range(k)
-            ]
-            if any(x < 0 for x in rhs):
+    def guesses():
+        for picks in product(range(1, c + 1), repeat=len(s_list)):
+            assign = dict(zip(s_list, picks))
+            if not _proper_on(g, s_list, assign):
                 continue
-            classed = _eqcol_classes(s_list, groups, cols, rhs)
-            if classed is None:
-                continue
-            col = dict(assign)
-            leftovers = []
-            for comp in components(g, set(s_list)):
-                leftovers.extend(v for v in comp if classed.get(v, 0) == 0)
-            col.update({v: c for v, c in classed.items() if c != 0})
+            cols = None
+            for big in bigs:
+                head = _class_targets(n, r, big)[:c]
+                rhs = [head[i] - picks.count(i + 1) for i in range(c)]
+                if any(x < 0 for x in rhs):
+                    continue
+                if cols is None:
+                    cols = columns(groups, lambda rep: _eqcol_vectors(
+                        g, s_list, assign, rep, range(1, c + 1), free))
+                    if cols is None:
+                        break
+                yield assign, cols, rhs
+
+    def solve(guess):
+        assign, cols, rhs = guess
+        classed = _eqcol_classes(s_list, groups, cols, rhs)
+        if classed is None:
+            return None
+        col = dict(assign)
+        col.update({v: cls for v, cls in classed.items() if cls != free})
+        if free is not None:
+            leftovers = [v for comp in components(g, set(s_list))
+                         for v in comp if classed[v] == free]
             for i, v in enumerate(leftovers):
-                col[v] = k + 1 + (i % spare)
+                col[v] = k + 1 + (i % (r - k))
             _check_equitable(g, r, col)
-            return col
-    return None
+        return col
+
+    return best(guesses(), solve)
 
 
 def _check_equitable(g, r, col):
@@ -406,27 +392,24 @@ def _ecp_case1(g, r, s_list, hi, lo, b):
                 seen[code] = mu
         mu_lists.append([mu for (_, mu) in sorted(seen.items())])
 
-    for picks in product(range(1, r + 1), repeat=len(s_list)):
-        assign = dict(zip(s_list, picks))
-        s_classes = [{v for v in s_list if assign[v] == i + 1} for i in range(r)]
-        if any(not c for c in s_classes):
-            continue
-        per_type_choices = []
-        for (t, comps), mus in zip(groups, mu_lists):
-            opts = []
-            for take in range(1, min(len(comps), len(mus)) + 1):
-                opts.extend(combinations(range(len(mus)), take))
-            per_type_choices.append(opts)
-        for combo in product(*per_type_choices):
-            got = _ecp_try_representation(
-                g, s_list, groups, mu_lists, combo, s_classes, targets
-            )
-            if got is not None:
-                return got
-    return None
+    per_type_choices = [
+        [combo for take in range(1, min(len(comps), len(mus)) + 1)
+         for combo in combinations(range(len(mus)), take)]
+        for (_, comps), mus in zip(groups, mu_lists)]
+
+    def guesses():
+        for picks in product(range(1, r + 1), repeat=len(s_list)):
+            s_classes = [{v for v, c in zip(s_list, picks) if c == i + 1} for i in range(r)]
+            if any(not c for c in s_classes):
+                continue
+            for combo in product(*per_type_choices):
+                yield s_classes, combo
+
+    return best(guesses(), lambda guess: _ecp_try_representation(
+        g, s_list, groups, mu_lists, *guess, targets))
 
 
-def _ecp_try_representation(g, s_list, groups, mu_lists, combo, s_classes, targets):
+def _ecp_try_representation(g, s_list, groups, mu_lists, s_classes, combo, targets):
     r = len(s_classes)
     # connectivity check on distinct concrete components per chosen pair
     chunks = [set(c) for c in s_classes]
@@ -491,33 +474,35 @@ def _ecp_case2(g, r, s_list, hi, lo, b):
         out.sort()
         return out
 
-    for touching in range(min(len(s_list), r) + 1):
-        for big in range(0, min(touching, b) + 1):
-            if b - big > r - touching:
-                continue
-            sizes = [hi] * big + [lo] * (touching - big)
+    def guesses():
+        for touching in range(min(len(s_list), r) + 1):
             if s_list and touching == 0:
                 continue
-            for s_parts in _ecp_separator_parts(g, s_list, sizes):
-                w = set().union(*s_parts) if s_parts else set()
-                comp_opts = rest_options(w)
-                if comp_opts is None:
+            for big in range(0, min(touching, b) + 1):
+                if b - big > r - touching:
                     continue
-                target = (b - big, (r - touching) - (b - big))
-                pickings = _pair_dp(comp_opts, target)
-                if pickings is None:
-                    continue
-                big_parts = [sorted(p) for p in s_parts[:big]]
-                small_parts = [sorted(p) for p in s_parts[big:]]
-                for (comp, _), (p, q) in zip(comp_opts, pickings):
-                    got = _sized_partition(g, comp, [hi] * p + [lo] * q)
-                    if hi == lo:
-                        small_parts.extend(sorted(part) for (_, part) in got)
-                    else:
-                        big_parts.extend(sorted(part) for (s, part) in got if s == hi)
-                        small_parts.extend(sorted(part) for (s, part) in got if s == lo)
-                return big_parts + small_parts
-    return None
+                sizes = [hi] * big + [lo] * (touching - big)
+                for s_parts in _ecp_separator_parts(g, s_list, sizes):
+                    yield touching, big, s_parts
+
+    def solve(guess):
+        touching, big, s_parts = guess
+        w = set().union(*s_parts) if s_parts else set()
+        comp_opts = rest_options(w)
+        if comp_opts is None:
+            return None
+        target = (b - big, (r - touching) - (b - big))
+        pickings = _pair_dp(comp_opts, target)
+        if pickings is None:
+            return None
+        big_parts = [sorted(p) for p in s_parts[:big]]
+        small_parts = [sorted(p) for p in s_parts[big:]]
+        for (comp, _), (p, q) in zip(comp_opts, pickings):
+            for size, part in _sized_partition(g, comp, [hi] * p + [lo] * q):
+                (big_parts if hi != lo and size == hi else small_parts).append(sorted(part))
+        return big_parts + small_parts
+
+    return best(guesses(), solve)
 
 
 def _pair_dp(comp_opts, target):

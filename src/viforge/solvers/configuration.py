@@ -1,19 +1,61 @@
-"""The configuration step the separator solvers end with.
+"""The guess loop and the configuration step the separator solvers share.
 
-Once a separator S is fixed, the components of G - S come in groups of
-equal anchored type (``classify_detailed``), and each group's first
-component is its representative.  A column is a ``(group index,
-payload)`` pair, where the payload is one entry of the representative's
-catalogue (a signature and its witness).  Its count variable says how
-many components of the group take that payload.  ``configuration_ip``
-builds the integer program over the counts, and ``place`` hands every
-component its payload with the map that carries the representative onto
-it.  That map comes from classification: the group's type keeps each
-member's canonical order, and pairing the representative's order with
-the member's, S held fixed, is the map, so placing searches nothing.
+Every separator solver fixes a separator S, guesses how the solution
+behaves on S, and solves one small problem per guess.  ``best`` is the
+one loop over the guesses.  It calls ``solve(guess)`` in guess order and
+skips a ``None`` answer.  Without a ``key`` it is a decision: it returns
+the first answer and calls ``solve`` no further.  With a ``key`` it
+returns the first answer with the smallest key, since only a strictly
+better answer replaces the best so far; so the answer is the first
+optimum in the solver's canonical guess order.  ``best`` never calls the
+integer program itself: each solver calls ``optimize`` or ``feasible``
+through its own module's binding.
+
+Once S is fixed, the components of G - S come in groups of equal
+anchored type (``classify_detailed``), and each group's first component
+is its representative.  A column is a ``(group index, payload)`` pair,
+where the payload is one entry of the representative's catalogue (a
+signature and its witness); ``columns`` builds them.  Its count variable
+says how many components of the group take that payload.
+``configuration_ip`` builds the integer program over the counts, and
+``place`` hands every component its payload with the map that carries
+the representative onto it.  That map comes from classification: the
+group's type keeps each member's canonical order, and pairing the
+representative's order with the member's, S held fixed, is the map, so
+placing searches nothing.
 """
 
 from ..ilp import IlpInstance
+
+
+def best(guesses, solve, key=None):
+    """The first answer of ``solve`` over ``guesses``, or with ``key`` the
+    first answer whose key is smallest; None when every answer is None."""
+    top = top_key = None
+    for guess in guesses:
+        got = solve(guess)
+        if got is None:
+            continue
+        if key is None:
+            return got
+        got_key = key(got)
+        if top is None or got_key < top_key:
+            top, top_key = got, got_key
+    return top
+
+
+def columns(groups, catalogue):
+    """Every (group index, (signature, witness)) column, each group's
+    entries in signature order, where ``catalogue(representative)`` gives a
+    group's {signature: witness}; None when a group's catalogue is empty,
+    because then no component of that group has a choice."""
+    cols = []
+    for gi, (_, comps) in enumerate(groups):
+        entries = catalogue(comps[0])
+        if not entries:
+            return None
+        cols += [(gi, item) for item in sorted(entries.items())]
+    return cols
 
 
 def configuration_ip(groups, cols, rows, objective=None, extra=()):

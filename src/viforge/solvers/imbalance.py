@@ -17,7 +17,7 @@ from ..graphs import anchored_isomorphic  # noqa: F401  (perfbench wraps this bi
 from ..ilp import optimize
 from ..integrity import vertex_integrity
 from ..typesys import classify_detailed
-from .configuration import configuration_ip, place
+from .configuration import best, columns, configuration_ip, place
 
 
 def imbalance_of(g, ordering):
@@ -78,8 +78,7 @@ def _solve_for_order(g, sigma):
     groups = classify_detailed(g, sigma)
     # one count per (group, placement signature), then y_j >= the
     # imbalance of sigma[j]
-    cols = [(gi, placed) for gi, (_, comps) in enumerate(groups)
-            for placed in sorted(_placements(g, sigma, comps[0]).items())]
+    cols = columns(groups, lambda rep: _placements(g, sigma, rep))
     n_y = len(sigma)
     s_pos = {v: i for i, v in enumerate(sigma)}
     rows = []
@@ -113,15 +112,18 @@ def _solve_for_order(g, sigma):
 
 
 def imbalance_vi(g):
-    """Minimum imbalance of g and an ordering attaining it."""
+    """Minimum imbalance of g and an ordering attaining it.
+
+    Reversing an ordering keeps its imbalance, so an order sigma of the
+    separator has the same optimum as reversed(sigma).  When
+    sigma[0] > sigma[-1], reversed(sigma) comes earlier in lexicographic
+    order, and only a strictly better answer replaces the best one, so
+    skipping sigma changes no answer.
+    """
     g.validate()
     if g.n == 0:
         return 0, []
     _, vis = vertex_integrity(g)
-    sep = sorted(vis.separator)
-    best = None
-    for sigma in permutations(sep):
-        got = _solve_for_order(g, list(sigma))
-        if got is not None and (best is None or got[0] < best[0]):
-            best = got
-    return best
+    orders = (list(sigma) for sigma in permutations(sorted(vis.separator))
+              if len(sigma) < 2 or sigma[0] < sigma[-1])
+    return best(orders, lambda sigma: _solve_for_order(g, sigma), key=lambda got: got[0])

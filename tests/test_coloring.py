@@ -101,6 +101,34 @@ class TestEquitableColoring:
             assert verify_eqcoloring(g, r, got)
 
 
+    def test_more_colours_than_twice_the_integrity_match_the_oracle(self):
+        # r > 2k: only colours 1..k touch the separator, and the spare
+        # colours k + 1..r are dealt round-robin at the end
+        rng = random.Random(16)
+        checked = spare = multi = 0
+        for _ in range(150):
+            g = rand_vi_graph(rng, rng.randint(4, 9), k=rng.randint(2, 3))
+            k = vertex_integrity(g)[0]
+            if k not in (2, 3):
+                continue
+            for r in range(2 * k + 1, 2 * k + 4):
+                got = equitable_coloring_vi(g, r)
+                want = oracle_eqcoloring(g, r, budget=BIG_BUDGET)
+                assert (got is None) == (want is None)
+                checked += 1
+                if got is None:
+                    continue
+                assert verify_eqcoloring(g, r, got)
+                b = g.n % r
+                # the solver tries every count of big classes among 1..k
+                bigs = range(max(0, b - (r - k)), min(k, b) + 1)
+                spare += any(c > k for c in got.values())
+                multi += len(bigs) >= 2
+        assert checked >= 400
+        assert spare >= 300
+        assert multi >= 250
+
+
 class TestEquitablePartition:
     def test_path_splits_in_half(self):
         assert equitable_connected_partition_vi(path_graph(4), 2) == [[0, 1], [2, 3]]

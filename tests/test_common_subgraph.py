@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from viforge.graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph
 from viforge.instances import generate, parse_text
+from viforge.integrity import vertex_integrity
 from viforge.oracles import oracle_mcis, oracle_mcs, verify_mcis, verify_mcs
 from viforge.solvers import common_subgraph
 from viforge.solvers.common_subgraph import mcis_vi, mcs_vi
@@ -180,11 +181,21 @@ def test_piece_matcher_matches_the_reference(monkeypatch):
     assert sum(len(args[1][0]) >= 2 and bool(args[1][2]) for args, _ in calls) >= 10
 
 
+def _distinct_code_pairs(g1, g2, induced_flag):
+    """The (codes1, codes2) pairs of the guesses one solve pairs up."""
+    (k1, vis1), (k2, vis2) = vertex_integrity(g1), vertex_integrity(g2)
+    s1, s2 = sorted(vis1.separator), sorted(vis2.separator)
+    two_k = 2 * max(k1, k2)
+    side1 = common_subgraph._side_keys(g1, s1, len(s2), False, induced_flag, two_k)
+    side2 = common_subgraph._side_keys(g2, s2, len(s1), True, induced_flag, two_k)
+    return {(codes1, codes2) for (sizes1, bits1, codes1) in side1
+            for (sizes2, bits2, codes2) in side2
+            if sizes1 == sizes2 and (bits1 == bits2 or not induced_flag)}
+
+
 def test_each_piece_ip_is_solved_once(monkeypatch):
-    # the winning key's IP is read back from the cache for the mapping,
-    # not solved a second time
-    cache = {}
-    monkeypatch.setattr(common_subgraph, "_OPT_CACHE", cache)
+    # a solve solves each distinct piece IP once, and reads the winner's
+    # answer back for the mapping instead of solving it again
     calls = []
     real = common_subgraph.optimize
 
@@ -194,8 +205,12 @@ def test_each_piece_ip_is_solved_once(monkeypatch):
 
     monkeypatch.setattr(common_subgraph, "optimize", counting)
     g1, g2 = (parse_text(generate("random-vi", seed=s, n=8, k=3)).graph for s in (1, 2))
-    for solve, verify in ((mcs_vi, verify_mcs), (mcis_vi, verify_mcis)):
-        entries, solved = len(cache), len(calls)
+    for solve, verify, induced_flag in ((mcs_vi, verify_mcs, False), (mcis_vi, verify_mcis, True)):
+        pairs = _distinct_code_pairs(g1, g2, induced_flag)
+        solved = len(calls)
         val, mapping = solve(g1, g2)
         assert verify(g1, g2, mapping, val)
-        assert len(calls) - solved == len(cache) - entries > 0
+        assert len(calls) - solved == len(pairs) > 0
+        # a second solve solves them all again: no answer outlives a solve
+        solve(g1, g2)
+        assert len(calls) - solved == 2 * len(pairs)

@@ -1,9 +1,13 @@
 import random
+from itertools import permutations
+from math import factorial
 
 from hypothesis import given, settings, strategies as st
 
 from viforge.graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph
+from viforge.integrity import vertex_integrity
 from viforge.oracles import oracle_imbalance, verify_imbalance
+from viforge.solvers import imbalance
 from viforge.solvers.imbalance import imbalance_of, imbalance_vi
 
 from conftest import BIG_BUDGET, rand_graph, rand_vi_graph
@@ -72,3 +76,40 @@ def test_matches_oracle_on_low_integrity_graphs(seed):
     want, _ = oracle_imbalance(g, budget=BIG_BUDGET)
     assert val == want
     assert verify_imbalance(g, ordering, val)
+
+
+def _full_walk(g):
+    """Every order of the separator, in lexicographic order, keeping a
+    strictly better answer only."""
+    _, vis = vertex_integrity(g)
+    best = None
+    for sigma in permutations(sorted(vis.separator)):
+        got = imbalance._solve_for_order(g, list(sigma))
+        if got is not None and (best is None or got[0] < best[0]):
+            best = got
+    return best
+
+
+def test_half_the_separator_orders_give_the_full_walk(monkeypatch):
+    # reversing an ordering keeps its imbalance, so the solver skips the
+    # orders whose reversal came first; value and ordering stay the same
+    rng = random.Random(6)
+    real = imbalance._solve_for_order
+    tried = []
+    monkeypatch.setattr(imbalance, "_solve_for_order",
+                        lambda g, sigma: tried.append(sigma) or real(g, sigma))
+    checked = wide = 0
+    while checked < 30:
+        g = rand_vi_graph(rng, rng.randint(5, 10), k=rng.randint(4, 5))
+        _, vis = vertex_integrity(g)
+        sep = sorted(vis.separator)
+        if len(sep) < 3:
+            continue
+        want = _full_walk(g)
+        tried.clear()
+        assert imbalance_vi(g) == want
+        assert len(tried) == factorial(len(sep)) // 2
+        assert all(sigma[0] < sigma[-1] for sigma in tried)
+        checked += 1
+        wide += len(sep) >= 4
+    assert wide >= 2
