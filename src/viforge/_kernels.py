@@ -251,15 +251,34 @@ def ilp_scan(rows, b, lo, hi, c, find_opt, desc):
     box, or the same infeasibility, as sweeping all rows until nothing
     moves.  Hence the nodes, their order and the answer do not depend on
     the visiting order.
+
+    The objective is one more row, the cutoff c.x <= v - 1, where v is
+    the incumbent's value.  Until there is an incumbent its right-hand
+    side is the largest c.x over the root box, so it holds everywhere and
+    moves nothing; each new incumbent lowers it.  Every child's worklist
+    starts with it, because the incumbent may have improved since its
+    parent's fixpoint.  The cutoff fails at a node exactly when the box's
+    least c.x reaches v (the box bound), and otherwise it may tighten a
+    costed variable past the values that leave no point with c.x < v.
+    So it removes only points that are no better than the incumbent.
+    Leaves are reached in the canonical order whatever propagation fixes,
+    because each variable branches in its own fixed direction, and only a
+    strictly better point replaces the incumbent; hence the answer is the
+    first optimum in that order, the same point and value as with the box
+    bound alone.  With c = 0 the cutoff reads 0 <= -1 once a point is
+    found, which ends the search at the first feasible point.
     """
+    cost = [(j, cj) for j, cj in enumerate(c) if cj]
+    cut = len(rows)
+    rows = rows + [cost]
+    b = b + [sum(cj * (hi[j] if cj > 0 else lo[j]) for j, cj in cost)]
     occ = [[] for _ in lo]
     for r, row in enumerate(rows):
         for j, _ in row:
             occ[j].append(r)
-    cost = [(j, cj) for j, cj in enumerate(c) if cj]
+    start = [[cut] + [r for r in rs if r != cut] for rs in occ]
     p = len(lo)
     best = None
-    best_val = 0
     stack = []
     node = (list(lo), list(hi), deque(range(len(rows))))
     while True:
@@ -267,17 +286,14 @@ def ilp_scan(rows, b, lo, hi, c, find_opt, desc):
             lo, hi, queue = node
             node = None
             if _propagate(rows, b, lo, hi, occ, queue):
-                bound = 0
-                for j, cj in cost:
-                    bound += cj * (lo[j] if cj > 0 else hi[j])
-                if best is None or bound < best_val:
-                    j = next((j for j in range(p) if lo[j] < hi[j]), -1)
-                    if j < 0:
-                        best, best_val = tuple(lo), bound
-                        if not find_opt:
-                            return best, best_val
-                    else:
-                        stack.append([lo, hi, j, 0])
+                j = next((j for j in range(p) if lo[j] < hi[j]), -1)
+                if j >= 0:
+                    stack.append([lo, hi, j, 0])
+                else:
+                    best = tuple(lo), sum(cj * lo[j] for j, cj in cost)
+                    if not find_opt:
+                        return best
+                    b[cut] = best[1] - 1
         if not stack:
             break
         frame = stack[-1]
@@ -289,5 +305,5 @@ def ilp_scan(rows, b, lo, hi, c, find_opt, desc):
         v = hi[j] - k if desc[j] else lo[j] + k
         nlo, nhi = list(lo), list(hi)
         nlo[j] = nhi[j] = v
-        node = (nlo, nhi, deque(occ[j]))
-    return None if best is None else (best, best_val)
+        node = (nlo, nhi, deque(start[j]))
+    return best

@@ -15,6 +15,15 @@ Propagation at a node visits only the rows whose variables changed (see
 box it ends at is the one that sweeping every row until nothing moves
 would reach: the nodes, their order and the certificates are the same as
 with full sweeps.
+
+Once the search holds an incumbent of value v, the objective is one more
+propagated row, c.x <= v - 1 in minimisation units, lowered at each
+better point (see ``ilp_scan``).  It prunes every box whose least
+objective reaches v, and tightens costed variables past values that
+leave no strictly better point.  It can change no answer: it removes
+only points no better than the incumbent, leaves are still reached in
+canonical order, and only a strictly better point replaces the
+incumbent, so the answer is still the first optimum in that order.
 """
 
 import operator

@@ -81,12 +81,13 @@ def _solve_for_order(g, sigma):
     cols = columns(groups, lambda rep: _placements(g, sigma, rep))
     n_y = len(sigma)
     s_pos = {v: i for i, v in enumerate(sigma)}
+    reps = [set(members[0]) for _, members in groups]
     rows = []
     for j, s in enumerate(sigma):
         nbrs = g.neighbors(s)
         # separator neighbours left of sigma[j] minus those right of it
         d0 = sum(1 if s_pos[u] < j else -1 for u in nbrs if u in s_pos)
-        diff = [2 * l_vec[j] - len(nbrs & set(groups[gi][1][0]))
+        diff = [2 * l_vec[j] - len(nbrs & reps[gi])
                 for gi, ((_, l_vec), _) in cols]
         y = tuple(int(i == j) for i in range(n_y))
         # y_j >= d0 + sum(diff * x) and y_j >= -(d0 + sum(diff * x))

@@ -148,13 +148,24 @@ def _blocks(rng, count, most, hubs):
     return Graph(len(label), edges)
 
 
-def test_piece_matcher_matches_the_reference(monkeypatch):
+def _check_piece_map(got, rho1, piece1, rho2, piece2):
+    """``got`` maps piece 1 one-to-one onto piece 2, kept edges onto kept
+    edges (so non-edges onto non-edges), and each anchor link onto the
+    link to the anchor in the same position."""
+    (vs1, f1, b1), (vs2, f2, b2) = piece1, piece2
+    assert sorted(got) == sorted(vs1) and sorted(got.values()) == sorted(vs2)
+    assert {frozenset((got[u], got[v])) for (u, v) in f1} == {frozenset(e) for e in f2}
+    assert {(got[v], rho2[rho1.index(r)]) for (v, r) in b1} == set(b2)
+
+
+def test_piece_matcher_agrees_with_the_reference_on_which_pieces_match(monkeypatch):
     # The matcher pairs the two pieces' canonical orders, the reference
     # places vertices by id, so the two can pick different maps when a
     # piece has automorphisms (the path 2-1-3-4 against the path 6-7-5-8,
-    # no anchors, is one such pair: the two maps differ by the reversal);
-    # on this stream they agree, which keeps the solvers' certificates as
-    # they were.
+    # no anchors, is one such pair: the two maps differ by the reversal).
+    # So each map is checked for what makes it a map, and the two must
+    # agree on which pairs of pieces have one: the pairs the solvers
+    # match, and pieces of consecutive calls paired across.
     calls = []
     match = common_subgraph._match_piece
 
@@ -170,15 +181,28 @@ def test_piece_matcher_matches_the_reference(monkeypatch):
         g2 = _blocks(rng, rng.randint(1, 3), 3, rng.randint(0, 2))
         mcs_vi(g1, g2)
         mcis_vi(g1, g2)
-    for (rho1, piece1, rho2, piece2), got in calls:
-        assert got == _reference_match_piece(rho1, piece1, rho2, piece2)
-        (vs1, f1, b1), (vs2, f2, b2) = piece1, piece2
-        assert sorted(got) == sorted(vs1) and sorted(got.values()) == sorted(vs2)
-        assert {frozenset((got[u], got[v])) for (u, v) in f1} == {frozenset(e) for e in f2}
-        assert {(got[v], rho2[rho1.index(r)]) for (v, r) in b1} == set(b2)
+    for args, got in calls:
+        assert _reference_match_piece(*args) is not None
+        _check_piece_map(got, *args)
+    compared = refused = 0
+    for ((rho1, piece1, _, _), _), ((_, _, rho2, piece2), _) in zip(calls, calls[1:]):
+        if len(rho1) != len(rho2) or len(piece1[0]) != len(piece2[0]):
+            continue
+        args = (rho1, piece1, rho2, piece2)
+        try:
+            got = match(*args)
+        except RuntimeError:
+            got = None
+        assert (got is None) == (_reference_match_piece(*args) is None)
+        if got is None:
+            refused += 1
+        else:
+            _check_piece_map(got, *args)
+            compared += 1
     assert len(calls) >= 400
     assert sum(len(args[1][0]) >= 3 for args, _ in calls) >= 10
     assert sum(len(args[1][0]) >= 2 and bool(args[1][2]) for args, _ in calls) >= 10
+    assert compared >= 100 and refused >= 50
 
 
 def _distinct_code_pairs(g1, g2, induced_flag):

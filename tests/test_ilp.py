@@ -6,7 +6,7 @@ from math import comb, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from viforge import ilp
+from viforge import _kernels, ilp
 from viforge.ilp import IlpInputError, IlpInstance, feasible, optimize
 
 
@@ -296,3 +296,119 @@ def test_worklist_propagation_matches_full_sweeps(monkeypatch):
     assert got == want
     assert max(inst.p for inst, _ in cases) >= 30
     assert 20 <= sum(f is None for f, _, _ in want) <= 100
+
+
+def test_the_cutoff_row_visits_no_more_nodes_than_the_box_bound(monkeypatch):
+    """The incumbent's cutoff row only removes points no better than the
+    incumbent, so every answer equals the box-bound reference's, no ILP
+    visits more nodes (``_propagate`` calls) than the reference, and the
+    cutoff pays off somewhere."""
+    rng = random.Random("ilp-worklist-vs-sweep")
+    insts = []
+    for _ in range(300):
+        bounds, cons = _configuration_like(rng)
+        obj = tuple(rng.choice((0, 0, rng.randint(-4, 4))) for _ in bounds)
+        insts += [IlpInstance(bounds, cons, (obj, sense)) for sense in ("min", "max")]
+    nodes = [0]
+
+    def counted(propagate):
+        def run(*args):
+            nodes[0] += 1
+            return propagate(*args)
+        return run
+
+    monkeypatch.setattr(_kernels, "_propagate", counted(_kernels._propagate))
+    monkeypatch.setitem(globals(), "_sweep_propagate", counted(_sweep_propagate))
+
+    def runs():
+        out = []
+        for inst in insts:
+            nodes[0] = 0
+            got = (feasible(inst), optimize(inst))
+            out.append((got, nodes[0]))
+        return out
+
+    got = runs()
+    monkeypatch.setattr(ilp, "ilp_scan", _sweep_ilp_scan)
+    want = runs()
+    assert [a for a, _ in got] == [a for a, _ in want]
+    assert all(n <= m for (_, n), (_, m) in zip(got, want))
+    assert sum(n for _, n in got) < sum(m for _, m in want)
+
+
+def _wide_configuration(rng):
+    """A configuration-shaped IP whose groups hold 100 to 3000 components:
+    up to three single-column groups and one or two two-column groups,
+    then up to two narrow free variables and mixed-sign coupling rows that
+    hold at a drawn point, except that about one in six has its
+    right-hand side moved.  Its box is far past ``_grid_solve``'s reach."""
+    groups = [(rng.randint(100, 3000), 1) for _ in range(rng.randint(0, 3))]
+    for _ in range(rng.randint(1, 2)):
+        groups.insert(rng.randint(0, len(groups)), (rng.randint(100, 3000), 2))
+    cols = [gi for gi, (_, n_cols) in enumerate(groups) for _ in range(n_cols)]
+    widths = [rng.randint(0, 30) for _ in range(rng.randint(0, 2))]
+    bounds = [(0, groups[gi][0]) for gi in cols]
+    bounds += [(lo, lo + w) for lo, w in zip((rng.randint(-50, 50) for _ in widths), widths)]
+    x0 = []
+    for size, n_cols in groups:
+        cut = rng.randint(0, size)
+        x0 += [size] if n_cols == 1 else [cut, size - cut]
+    x0 += [rng.randint(lo, hi) for lo, hi in bounds[len(cols):]]
+    pad = (0,) * len(widths)
+    cons = [(tuple(int(c == gi) for c in cols) + pad, "==", size)
+            for gi, (size, _) in enumerate(groups)]
+    for _ in range(rng.randint(1, 3)):
+        row = [rng.choice((0, rng.randint(-3, 3))) for _ in bounds]
+        rel = rng.choice(("<=", ">=", "=="))
+        rhs = sum(a * x for a, x in zip(row, x0))
+        rhs += {"<=": rng.randint(0, 50), ">=": -rng.randint(0, 50), "==": 0}[rel]
+        if rng.random() < 1 / 6:
+            rhs += rng.choice((-1, 1)) * rng.randint(1, 5000)
+        cons.append((tuple(row), rel, rhs))
+    obj = tuple(rng.randint(-4, 4) for _ in bounds)
+    return tuple(bounds), tuple(cons), obj
+
+
+def _milp_value(inst):
+    """The optimum of ``inst`` from scipy's ``milp``, or None when it is
+    infeasible.  A zero relative gap makes HiGHS prove optimality rather
+    than stop within its default 0.01%."""
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    coeffs, sense = inst.objective
+    a = np.array([c for c, _, _ in inst.constraints], dtype=float)
+    lower = [-np.inf if rel == "<=" else rhs for _, rel, rhs in inst.constraints]
+    upper = [np.inf if rel == ">=" else rhs for _, rel, rhs in inst.constraints]
+    sign = 1 if sense == "min" else -1
+    res = milp(sign * np.array(coeffs, dtype=float), integrality=np.ones(inst.p),
+               bounds=Bounds(*zip(*inst.bounds)),
+               constraints=LinearConstraint(a, lower, upper),
+               options={"mip_rel_gap": 0})
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    return sign * round(res.fun)
+
+
+def test_values_match_milp_on_wide_configuration_ips():
+    pytest.importorskip("scipy")
+    rng = random.Random("ilp-vs-milp")
+    infeasible = 0
+    boxes = []
+    for _ in range(40):
+        bounds, cons, obj = _wide_configuration(rng)
+        boxes.append(prod(hi - lo + 1 for lo, hi in bounds))
+        for sense in ("min", "max"):
+            inst = IlpInstance(bounds, cons, (obj, sense))
+            want = _milp_value(inst)
+            got = optimize(inst)
+            point = feasible(inst)
+            if want is None:
+                infeasible += 1
+                assert got is None and point is None
+                continue
+            assert got is not None and got[1] == want
+            assert point is not None and _satisfies(point, cons)
+    assert 5 <= infeasible <= 40
+    assert max(boxes) >= 10 ** 9
