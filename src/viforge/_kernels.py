@@ -267,6 +267,14 @@ def ilp_scan(rows, b, lo, hi, c, find_opt, desc):
     first optimum in that order, the same point and value as with the box
     bound alone.  With c = 0 the cutoff reads 0 <= -1 once a point is
     found, which ends the search at the first feasible point.
+
+    A frame tests the cutoff itself before it builds the child x_j = v:
+    the child's least c.x is the frame's least c.x with x_j's term set to
+    c_j.v, which is exactly what the cutoff row reads first at that child,
+    so a value that fails it is skipped without a node.  Where c_j = 0 or
+    its sign agrees with j's branching direction, that term only grows
+    over the later values while the cutoff only drops, so the first
+    failing value ends the frame.
     """
     cost = [(j, cj) for j, cj in enumerate(c) if cj]
     cut = len(rows)
@@ -288,7 +296,10 @@ def ilp_scan(rows, b, lo, hi, c, find_opt, desc):
             if _propagate(rows, b, lo, hi, occ, queue):
                 j = next((j for j in range(p) if lo[j] < hi[j]), -1)
                 if j >= 0:
-                    stack.append([lo, hi, j, 0])
+                    cj = c[j]
+                    rest = sum(ci * (lo[i] if ci > 0 else hi[i]) for i, ci in cost if i != j)
+                    ends = cj <= 0 if desc[j] else cj >= 0
+                    stack.append([lo, hi, j, 0, cj, rest, ends])
                 else:
                     best = tuple(lo), sum(cj * lo[j] for j, cj in cost)
                     if not find_opt:
@@ -297,12 +308,16 @@ def ilp_scan(rows, b, lo, hi, c, find_opt, desc):
         if not stack:
             break
         frame = stack[-1]
-        lo, hi, j, k = frame
+        lo, hi, j, k, cj, rest, ends = frame
         if k > hi[j] - lo[j]:
             stack.pop()
             continue
         frame[3] = k + 1
         v = hi[j] - k if desc[j] else lo[j] + k
+        if rest + cj * v > b[cut]:
+            if ends:
+                stack.pop()
+            continue
         nlo, nhi = list(lo), list(hi)
         nlo[j] = nhi[j] = v
         node = (nlo, nhi, deque(start[j]))

@@ -12,6 +12,18 @@ The guessed anchor data is deduplicated per side before sides are
 combined: a guess only matters through its anchor adjacency bits and
 the multiset of component type codes, so each distinct (bits, codes)
 key is solved once and keeps one concrete witness for reconstruction.
+Components of G - S with one type are swapped by automorphisms of G
+that fix S, so the extension anchors are drawn from the first few
+members of each type only.
+
+Work per type is shared across guesses.  One solve puts each labelled
+pattern in canonical form once (a ``classify_detailed`` memo).  A type's
+decompositions are enumerated once per process, on the first component
+of that type seen, and kept with their witnesses in canonical positions
+(anchors, then the representative's canonical order), so any component
+of the type reads its pieces off its own canonical order.  A guess whose
+piece total cannot beat the best answer so far, even if every component
+took its heaviest decomposition, skips its piece IP.
 """
 
 from collections import Counter
@@ -23,25 +35,35 @@ from ..integrity import vertex_integrity
 from ..typesys import classify_detailed, enumerate_decompositions, g_type_of, piece_form
 from .configuration import best
 
-# (type code, induced flag) -> {piece-code multiset: (edge total, vertex
-# total, Counter)}.  It outlives a solve on purpose: the benchmark's 144
-# crosscheck mcs/mcis solves, run in one process on a 2-CPU machine with
-# Python 3.11.7, took a median 0.30 s with it and 0.34 s when it was
-# cleared before each solve.
+# (type code, induced flag) -> (largest weight, {piece-code multiset:
+# (weight, Counter, witness)}).  A weight is the piece edge total for
+# common subgraphs and the piece vertex total for the induced variant.
+# A witness lists (piece vertices, kept inner edges, kept boundary
+# edges) in canonical positions: position i is the i-th vertex of the
+# anchors followed by a component's canonical order, which maps it into
+# any component of the type.  It outlives a solve on purpose: the
+# benchmark's 144 crosscheck mcs/mcis solves, run in one process on a
+# 2-CPU machine with Python 3.11.7, took a median 0.30 s with it and
+# 0.34 s when it was cleared before each solve.  It grows with the
+# number of distinct types seen.
 _DECOMP_CACHE = {}
 
 
-def _decomp_summary(code, h, rho, comp, induced_flag):
-    got = _DECOMP_CACHE.get((code, induced_flag))
-    if got is None:
-        raw = enumerate_decompositions(h, rho, comp, induced_mode=induced_flag)
-        got = {}
-        for t_key, pieces in raw.items():
-            edges = sum(len(f) + len(b) for (_, f, b) in pieces)
-            verts = sum(len(vs) for (vs, _, _) in pieces)
-            got[t_key] = (edges, verts, Counter(t_key))
-        _DECOMP_CACHE[(code, induced_flag)] = got
-    return got
+def _catalogue(t, h, rho, induced_flag):
+    """Fill the cache entry of type ``t``, anchored at the list ``rho`` in
+    h, from its representative when the type is new."""
+    if (t.code, induced_flag) in _DECOMP_CACHE:
+        return
+    at = {v: i for i, v in enumerate(rho + list(t.orders[0]))}
+    decomps = {}
+    raw = enumerate_decompositions(h, rho, t.orders[0], induced_mode=induced_flag)
+    for t_key, pieces in raw.items():
+        edges = sum(len(f) + len(b) for (_, f, b) in pieces)
+        verts = sum(len(vs) for (vs, _, _) in pieces)
+        witness = [([at[v] for v in vs], [(at[u], at[v]) for (u, v) in f],
+                    [(at[x], at[r]) for (x, r) in b]) for (vs, f, b) in pieces]
+        decomps[t_key] = (verts if induced_flag else edges, Counter(t_key), witness)
+    _DECOMP_CACHE[(t.code, induced_flag)] = (max(w for w, _, _ in decomps.values()), decomps)
 
 
 def _anchor_bits(h, rho):
@@ -55,7 +77,7 @@ def _anchor_bits(h, rho):
     return bits
 
 
-def _side_keys(g, sep, z_max, ordered, induced_flag, two_k):
+def _side_keys(g, sep, z_max, ordered, induced_flag, two_k, memo):
     """Deduplicated anchor guesses for one side.
 
     A guess keeps X, Y inside the separator (the rest of the separator
@@ -64,23 +86,35 @@ def _side_keys(g, sep, z_max, ordered, induced_flag, two_k):
     is false; otherwise all segment orders are produced, because the
     second side's anchor order encodes the bijection with the first.
 
+    Z meets at most ``z_max`` components of G - S, and an automorphism
+    of G that fixes S carries the ones of each type onto the first
+    members of the type, keeping every key; so Z is drawn from the
+    first min(|group|, z_max) members of each type.  The ordered side
+    keeps its key set exactly; the other side keeps it up to the order
+    of Z's anchors, which the ordered side's orders cover.
+
     Returns {(sizes, bits, codes): (kept vertices, anchor order)} in
-    the labels of g.
+    the labels of g.  ``memo`` is the solve's ``classify_detailed``
+    memo.
     """
     table = {}
     sep = sorted(sep)
-    rest = [v for v in range(g.n) if v not in set(sep)]
+    sep_set = set(sep)
+    rest = [v for v in range(g.n) if v not in sep_set]
+    rest_set = set(rest)
+    z_pool = {v for _, cs in classify_detailed(g, sep, memo=memo) for c in cs[:z_max] for v in c}
     for x_size in range(len(sep) + 1):
         for x_set in combinations(sep, x_size):
-            left = [v for v in sep if v not in set(x_set)]
+            x_in = set(x_set)
+            left = [v for v in sep if v not in x_in]
             for y_size in range(len(left) + 1):
                 for y_set in combinations(left, y_size):
-                    kept = tuple(sorted(set(rest) | set(x_set) | set(y_set)))
+                    kept = tuple(sorted(rest_set | x_in | set(y_set)))
                     h, o2n = induced(g, list(kept))
                     xh = [o2n[v] for v in x_set]
                     yh = [o2n[v] for v in y_set]
                     anchored = set(xh) | set(yh)
-                    free = [v for v in range(h.n) if v not in anchored]
+                    free = [o2n[v] for v in rest if v in z_pool]
                     n2o = {n: o for o, n in o2n.items()}
                     for z_size in range(min(z_max, len(free)) + 1):
                         for z_set in combinations(free, z_size):
@@ -100,8 +134,8 @@ def _side_keys(g, sep, z_max, ordered, induced_flag, two_k):
                             for rho in rhos:
                                 bits = _anchor_bits(h, rho)
                                 codes = []
-                                for t, cs in classify_detailed(h, list(rho)):
-                                    _decomp_summary(t.code, h, list(rho), cs[0], induced_flag)
+                                for t, cs in classify_detailed(h, list(rho), memo=memo):
+                                    _catalogue(t, h, list(rho), induced_flag)
                                     codes.extend([t.code] * len(cs))
                                 key = (sizes, bits, tuple(sorted(codes)))
                                 if key not in table:
@@ -132,8 +166,7 @@ def _piece_ilp(codes1, codes2, induced_flag):
     cols = ([], [])
     for side, codes in enumerate((codes1, codes2)):
         for code, cnt in sorted(Counter(codes).items()):
-            for t_key, (edges, verts, gam) in sorted(_DECOMP_CACHE[(code, induced_flag)].items()):
-                weight = verts if induced_flag else edges
+            for t_key, (weight, gam, _) in sorted(_DECOMP_CACHE[(code, induced_flag)][1].items()):
                 cols[side].append((code, t_key, cnt, weight, gam))
     cols1, cols2 = _prune_columns(cols[0], cols[1])
 
@@ -181,21 +214,29 @@ def _match_piece(rho1, piece1, rho2, piece2):
     return dict(zip(order1, order2))
 
 
-def _assigned_pieces(h, rho, cols, point, offset, induced_flag):
-    """Concrete pieces realising the chosen decomposition counts."""
-    groups = {t.code: list(cs) for t, cs in classify_detailed(h, list(rho))}
+def _assigned_pieces(h, rho, cols, point, offset, induced_flag, memo):
+    """Concrete pieces realising the chosen decomposition counts, each
+    read off the cached witness through its component's canonical
+    order."""
+    rho = list(rho)
+    groups = {t.code: (t, list(range(len(cs))))
+              for t, cs in classify_detailed(h, rho, memo=memo)}
     pieces = []
     for i, (code, t_key, _, _, _) in enumerate(cols):
+        t, left = groups[code]
+        witness = _DECOMP_CACHE[(code, induced_flag)][1][t_key][2]
         for _ in range(point[offset + i]):
-            comp = groups[code].pop()
-            decs = enumerate_decompositions(h, list(rho), comp, induced_mode=induced_flag)
-            for (vs, f, b) in decs[t_key]:
-                pcode = g_type_of(h, list(rho), vs, b, f).code
+            order = rho + list(t.orders[left.pop()])
+            for (vs, f, b) in witness:
+                vs = [order[p] for p in vs]
+                f = {(order[p], order[q]) for (p, q) in f}
+                b = {(order[p], order[q]) for (p, q) in b}
+                pcode = g_type_of(h, rho, vs, b, f).code
                 pieces.append((pcode, (vs, f, b)))
     return pieces
 
 
-def _reconstruct(g1, g2, wit1, wit2, piece_answer, induced_flag):
+def _reconstruct(g1, g2, wit1, wit2, piece_answer, induced_flag, memo):
     kept1, rho1_orig = wit1
     kept2, rho2_orig = wit2
     h1, o2n1 = induced(g1, list(kept1))
@@ -204,8 +245,8 @@ def _reconstruct(g1, g2, wit1, wit2, piece_answer, induced_flag):
     rho2 = tuple(o2n2[v] for v in rho2_orig)
 
     _, cols1, cols2, point = piece_answer
-    pieces1 = _assigned_pieces(h1, rho1, cols1, point, 0, induced_flag)
-    pieces2 = _assigned_pieces(h2, rho2, cols2, point, len(cols1), induced_flag)
+    pieces1 = _assigned_pieces(h1, rho1, cols1, point, 0, induced_flag, memo)
+    pieces2 = _assigned_pieces(h2, rho2, cols2, point, len(cols1), induced_flag, memo)
     pieces1.sort(key=lambda pc: pc[0])
     pieces2.sort(key=lambda pc: pc[0])
 
@@ -231,37 +272,47 @@ def _common_solve(g1, g2, induced_flag):
     s1 = sorted(vis1.separator)
     s2 = sorted(vis2.separator)
 
-    side1 = _side_keys(g1, s1, len(s2), False, induced_flag, two_k)
-    side2 = _side_keys(g2, s2, len(s1), True, induced_flag, two_k)
+    memo = {}
+    side1 = _side_keys(g1, s1, len(s2), False, induced_flag, two_k, memo)
+    side2 = _side_keys(g2, s2, len(s1), True, induced_flag, two_k, memo)
+
+    def reach(codes):
+        # the piece total if every component took its heaviest
+        # decomposition; matched pieces have equal codes, so both sides
+        # carry the same total and the smaller reach bounds it
+        return sum(_DECOMP_CACHE[(code, induced_flag)][0] for code in codes)
 
     by_sizes = {}
     for key2, wit2 in side2.items():
-        by_sizes.setdefault(key2[0], []).append((key2, wit2))
+        by_sizes.setdefault(key2[0], []).append((key2, wit2, reach(key2[2])))
 
     def guesses():
         for (sizes1, bits1, codes1), wit1 in side1.items():
-            for (sizes2, bits2, codes2), wit2 in by_sizes.get(sizes1, ()):
+            reach1 = reach(codes1)
+            for (sizes2, bits2, codes2), wit2, reach2 in by_sizes.get(sizes1, ()):
                 if induced_flag:
                     if bits1 != bits2:
                         continue
                     base = sizes1[0] + sizes1[1] + sizes1[2]
                 else:
                     base = bin(bits1 & bits2).count("1")
-                yield base, (codes1, codes2), wit1, wit2
+                yield base, (codes1, codes2), wit1, wit2, base + min(reach1, reach2)
 
     # (codes1, codes2) -> _piece_ilp's whole answer, so each piece IP is
-    # solved once per solve and the winner's is read back for the mapping
+    # solved at most once per solve and the winner's is read back for
+    # the mapping
     piece_answers = {}
 
     def solve(guess):
-        base, codes, wit1, wit2 = guess
+        base, codes, wit1, wit2, _ = guess
         if codes not in piece_answers:
             piece_answers[codes] = _piece_ilp(*codes, induced_flag)
         piece = piece_answers[codes]
         return base + piece[0], wit1, wit2, piece
 
-    value, wit1, wit2, piece = best(guesses(), solve, key=lambda got: -got[0])
-    return value, _reconstruct(g1, g2, wit1, wit2, piece, induced_flag)
+    value, wit1, wit2, piece = best(guesses(), solve, key=lambda got: -got[0],
+                                    bound=lambda guess: -guess[4])
+    return value, _reconstruct(g1, g2, wit1, wit2, piece, induced_flag, memo)
 
 
 def mcs_vi(g1, g2):

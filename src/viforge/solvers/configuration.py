@@ -28,11 +28,18 @@ placing searches nothing.
 from ..ilp import IlpInstance
 
 
-def best(guesses, solve, key=None):
+def best(guesses, solve, key=None, bound=None):
     """The first answer of ``solve`` over ``guesses``, or with ``key`` the
-    first answer whose key is smallest; None when every answer is None."""
+    first answer whose key is smallest; None when every answer is None.
+
+    ``bound(guess)``, when given with a ``key``, must be at most the key
+    of the guess's answer.  A guess whose bound is not below the best key
+    so far cannot strictly win, so it is skipped without calling
+    ``solve``, and the answer is still the first optimum."""
     top = top_key = None
     for guess in guesses:
+        if bound is not None and top is not None and not bound(guess) < top_key:
+            continue
         got = solve(guess)
         if got is None:
             continue

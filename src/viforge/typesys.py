@@ -139,25 +139,37 @@ def type_of(g: Graph, s_ordered, c, mode="plain") -> ComponentType:
     return ComponentType(code, len(s_list), len(comp))
 
 
-def classify_detailed(g: Graph, s_ordered, mode="plain"):
+def classify_detailed(g: Graph, s_ordered, mode="plain", memo=None):
     """Components of g - S grouped by type.
 
     Returns a list of (ComponentType, [component vertex lists]) sorted by
     code; component lists keep the smallest-vertex order, and the type's
     ``orders`` holds each member's canonical order, aligned with the list.
 
-    Within one call the canonical form is computed once per labelled
-    pattern: for each vertex of the sorted component, its S-link bitmask
-    (bit i for the i-th anchor), its in-component neighbour bitmask by
-    position and its attribute.  The pattern fixes the matrix and the
-    attribute vector that ``_canon_form`` reads over S + C (the anchor
-    rows are the same for every component), so components with one
-    pattern get the same code and the same canonical positions.
+    The canonical form is computed once per labelled pattern: for each
+    vertex of the sorted component, its S-link bitmask (bit i for the
+    i-th anchor), its in-component neighbour bitmask by position and its
+    attribute.  The pattern fixes the matrix and the attribute vector
+    that ``_canon_form`` reads over S + C (the anchor rows are the same
+    for every component), so components with one pattern get the same
+    code and the same canonical positions.
+
+    Without ``memo`` the forms live for one call.  A caller that
+    classifies many graphs or anchor orders can pass the same dict to
+    each call; it keeps the forms under (mode, anchor count, anchor
+    attributes, anchor-anchor adjacency), which fixes the anchor rows,
+    and then under the pattern, so each labelled pattern is put in
+    canonical form once across all those calls.
     """
     s_list = _check_anchor_list(g, s_ordered)
     adj = g.adjacency()
     s_bit = {v: 1 << i for i, v in enumerate(s_list)}
-    forms = {}                  # pattern -> (code, canonical positions)
+    if memo is None:
+        forms = {}              # pattern -> (code, canonical positions)
+    else:
+        s_edges = tuple(w in adj[v] for i, v in enumerate(s_list) for w in s_list[:i])
+        anchors = (mode, len(s_list), tuple(_attr_vector(g, s_list, mode)), s_edges)
+        forms = memo.setdefault(anchors, {})
     groups = {}
     for comp in components(g, set(s_list)):
         at = {v: j for j, v in enumerate(comp)}

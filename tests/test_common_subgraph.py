@@ -1,8 +1,11 @@
 import random
+from itertools import combinations, permutations
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from viforge.graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph
+from viforge.graphs import (Graph, complete_graph, components, cycle_graph, induced, path_graph,
+                            star_graph)
 from viforge.instances import generate, parse_text
 from viforge.integrity import vertex_integrity
 from viforge.oracles import oracle_mcis, oracle_mcs, verify_mcis, verify_mcs
@@ -205,21 +208,50 @@ def test_piece_matcher_agrees_with_the_reference_on_which_pieces_match(monkeypat
     assert compared >= 100 and refused >= 50
 
 
-def _distinct_code_pairs(g1, g2, induced_flag):
-    """The (codes1, codes2) pairs of the guesses one solve pairs up."""
+def _sides(g1, g2, induced_flag, side_keys=None):
+    """Both sides' anchor-guess tables, as one solve builds them."""
     (k1, vis1), (k2, vis2) = vertex_integrity(g1), vertex_integrity(g2)
     s1, s2 = sorted(vis1.separator), sorted(vis2.separator)
     two_k = 2 * max(k1, k2)
-    side1 = common_subgraph._side_keys(g1, s1, len(s2), False, induced_flag, two_k)
-    side2 = common_subgraph._side_keys(g2, s2, len(s1), True, induced_flag, two_k)
-    return {(codes1, codes2) for (sizes1, bits1, codes1) in side1
-            for (sizes2, bits2, codes2) in side2
-            if sizes1 == sizes2 and (bits1 == bits2 or not induced_flag)}
+    side_keys = side_keys or common_subgraph._side_keys
+    memo = {}
+    return (side_keys(g1, s1, len(s2), False, induced_flag, two_k, memo),
+            side_keys(g2, s2, len(s1), True, induced_flag, two_k, memo))
+
+
+def _replayed_piece_ips(g1, g2, induced_flag):
+    """(every distinct (codes1, codes2) pair of the guesses one solve pairs
+    up, the pairs whose piece IP the guess loop solves): a guess is
+    solved only while its base plus the smaller side's heaviest piece
+    total can still beat the best value so far."""
+    side1, side2 = _sides(g1, g2, induced_flag)
+    cache = common_subgraph._DECOMP_CACHE
+
+    def reach(codes):
+        return sum(max(w for w, _, _ in cache[(code, induced_flag)][1].values())
+                   for code in codes)
+
+    pairs, solved, top = set(), {}, None
+    for (sizes1, bits1, codes1) in side1:
+        for (sizes2, bits2, codes2) in side2:
+            if sizes1 != sizes2 or (induced_flag and bits1 != bits2):
+                continue
+            base = sum(sizes1) if induced_flag else bin(bits1 & bits2).count("1")
+            pairs.add((codes1, codes2))
+            if top is not None and base + min(reach(codes1), reach(codes2)) <= top:
+                continue
+            if (codes1, codes2) not in solved:
+                solved[codes1, codes2] = common_subgraph._piece_ilp(codes1, codes2, induced_flag)[0]
+            top = max(top or 0, base + solved[codes1, codes2])
+    return pairs, set(solved)
 
 
 def test_each_piece_ip_is_solved_once(monkeypatch):
-    # a solve solves each distinct piece IP once, and reads the winner's
+    # a solve solves each piece IP it needs once, skips the ones whose
+    # bound cannot beat the best value so far, and reads the winner's
     # answer back for the mapping instead of solving it again
+    g1, g2 = (parse_text(generate("random-vi", seed=s, n=8, k=3)).graph for s in (1, 2))
+    replayed = {flag: _replayed_piece_ips(g1, g2, flag) for flag in (False, True)}
     calls = []
     real = common_subgraph.optimize
 
@@ -228,13 +260,131 @@ def test_each_piece_ip_is_solved_once(monkeypatch):
         return real(inst)
 
     monkeypatch.setattr(common_subgraph, "optimize", counting)
-    g1, g2 = (parse_text(generate("random-vi", seed=s, n=8, k=3)).graph for s in (1, 2))
     for solve, verify, induced_flag in ((mcs_vi, verify_mcs, False), (mcis_vi, verify_mcis, True)):
-        pairs = _distinct_code_pairs(g1, g2, induced_flag)
+        pairs, needed = replayed[induced_flag]
         solved = len(calls)
         val, mapping = solve(g1, g2)
         assert verify(g1, g2, mapping, val)
-        assert len(calls) - solved == len(pairs) > 0
+        assert len(calls) - solved == len(needed) > 0
+        assert len(needed) < len(pairs)
         # a second solve solves them all again: no answer outlives a solve
         solve(g1, g2)
-        assert len(calls) - solved == 2 * len(pairs)
+        assert len(calls) - solved == 2 * len(needed)
+
+
+def _full_side_keys(g, sep, z_max, ordered, induced_flag, two_k, memo):
+    """``_side_keys`` with the anchor extension Z drawn from every vertex
+    outside the separator; the reference for drawing it from the first
+    members of each type."""
+    table = {}
+    sep = sorted(sep)
+    rest = [v for v in range(g.n) if v not in sep]
+    for x_size in range(len(sep) + 1):
+        for x_set in combinations(sep, x_size):
+            left = [v for v in sep if v not in x_set]
+            for y_size in range(len(left) + 1):
+                for y_set in combinations(left, y_size):
+                    kept = sorted(set(rest) | set(x_set) | set(y_set))
+                    h, o2n = induced(g, kept)
+                    n2o = {n: o for o, n in o2n.items()}
+                    xh = [o2n[v] for v in x_set]
+                    yh = [o2n[v] for v in y_set]
+                    free = [o2n[v] for v in rest]
+                    for z_size in range(min(z_max, len(free)) + 1):
+                        for z_set in combinations(free, z_size):
+                            r_set = set(xh) | set(yh) | set(z_set)
+                            if any(len(r_set) + len(c) > two_k for c in components(h, r_set)):
+                                continue
+                            if ordered:
+                                rhos = [bx + bz + bw for bx in permutations(xh)
+                                        for bz in permutations(z_set) for bw in permutations(yh)]
+                                sizes = (len(xh), len(z_set), len(yh))
+                            else:
+                                rhos = [tuple(xh) + tuple(yh) + z_set]
+                                sizes = (len(xh), len(yh), len(z_set))
+                            for rho in rhos:
+                                codes = []
+                                for t, cs in common_subgraph.classify_detailed(h, list(rho)):
+                                    common_subgraph._catalogue(t, h, list(rho), induced_flag)
+                                    codes += [t.code] * len(cs)
+                                key = (sizes, common_subgraph._anchor_bits(h, rho),
+                                       tuple(sorted(codes)))
+                                table.setdefault(key, (tuple(kept), tuple(n2o[v] for v in rho)))
+    return table
+
+
+def _repeated_blocks(rng, most_n, most_size, most_copies):
+    """A few random blocks of 1..``most_size`` vertices, each with its own
+    links to one or two hubs, repeated 1..``most_copies`` times and
+    labelled at random, so that components of one type come in groups."""
+    hubs = rng.randint(1, 2)
+    shapes, n = [], hubs
+    while True:
+        size, copies = rng.randint(1, most_size), rng.randint(1, most_copies)
+        if shapes and n + size * copies > most_n:
+            break
+        inner = {(rng.randrange(i), i) for i in range(1, size)}
+        inner |= {(i, j) for i in range(size) for j in range(i + 1, size) if rng.random() < 0.3}
+        links = {(i, h) for i in range(size) for h in range(hubs) if rng.random() < 0.4}
+        shapes.append((size, copies, inner, links))
+        n += size * copies
+    label = list(range(n))
+    rng.shuffle(label)
+    hub, start, edges = label[:hubs], hubs, set()
+    if hubs == 2 and rng.random() < 0.5:
+        edges.add((hub[0], hub[1]))
+    for size, copies, inner, links in shapes:
+        for _ in range(copies):
+            vs = label[start:start + size]
+            edges |= {(vs[i], vs[j]) for (i, j) in inner}
+            edges |= {(vs[i], hub[h]) for (i, h) in links}
+            start += size
+    return Graph(n, edges)
+
+
+def _crosscheck_pairs(monkeypatch):
+    """The mcs and mcis graph pairs of the benchmark's crosscheck
+    workload."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+    instances, _ = workloads.build("crosscheck", 0)
+    return [(inst.problem, *(parse_text(text).graph for text in inst.texts))
+            for inst in instances if inst.problem in ("mcs", "mcis")]
+
+
+def test_anchor_extensions_from_the_first_members_of_each_type_keep_every_value(monkeypatch):
+    # Z drawn only from the first min(|group|, z_max) members of each
+    # type: the ordered side keeps its key set, every value equals the one
+    # with Z drawn from every vertex, and fewer anchor orders are typed.
+    # Block graphs stay small for mcs, whose piece IPs grow fast with the
+    # number of copies.
+    rng = random.Random(12)
+    cases = _crosscheck_pairs(monkeypatch)
+    for _ in range(12):
+        cases.append(("mcs", _repeated_blocks(rng, rng.randint(8, 14), 2, 5),
+                      _repeated_blocks(rng, rng.randint(6, 10), 2, 5)))
+        cases.append(("mcis", _repeated_blocks(rng, rng.randint(8, 24), 3, 5),
+                      _repeated_blocks(rng, rng.randint(6, 10), 3, 5)))
+    solvers = {"mcs": (mcs_vi, verify_mcs), "mcis": (mcis_vi, verify_mcis)}
+    typed = {common_subgraph._side_keys: 0, _full_side_keys: 0}
+    real = common_subgraph.classify_detailed
+    for problem, g1, g2 in cases:
+        induced_flag = problem == "mcis"
+        sides = {}
+        for side_keys in typed:
+            calls = []
+            monkeypatch.setattr(common_subgraph, "classify_detailed",
+                                lambda *args, **kw: calls.append(args) or real(*args, **kw))
+            sides[side_keys] = _sides(g1, g2, induced_flag, side_keys)
+            typed[side_keys] += len(calls)
+        monkeypatch.setattr(common_subgraph, "classify_detailed", real)
+        assert set(sides[common_subgraph._side_keys][1]) == set(sides[_full_side_keys][1])
+        solve, verify = solvers[problem]
+        val, mapping = solve(g1, g2)
+        assert verify(g1, g2, mapping, val)
+        with monkeypatch.context() as patched:
+            patched.setattr(common_subgraph, "_side_keys", _full_side_keys)
+            want, _ = solve(g1, g2)
+        assert val == want
+    assert len(cases) == 144 + 24
+    assert typed[common_subgraph._side_keys] < 0.8 * typed[_full_side_keys], typed

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from viforge.graphs import Graph, path_graph, star_graph
@@ -45,6 +47,31 @@ def test_a_decision_stops_at_the_first_yes_and_reads_guesses_lazily():
     assert best(guesses(), solve) == "yes"
     assert calls == [0, 1, 2, 3]
     assert pulled == [0, 1, 2, 3]
+
+
+def test_a_bound_skips_only_guesses_that_cannot_strictly_win():
+    # seeded guess streams: answers (or None) with keys that tie often,
+    # and bounds at most the answer's key (any value for a None answer)
+    skipped = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(0, 12)
+        answers = [None if rng.random() < 0.2 else (rng.randint(0, 6), i) for i in range(n)]
+        bounds = [rng.randint(-2, 8) if got is None else got[0] - rng.choice((0, 0, 1, 3))
+                  for got in answers]
+        held = []
+
+        def solve(i):
+            # only a guess whose bound is below the key held now is solved
+            assert not held or bounds[i] < min(held)
+            if answers[i] is not None:
+                held.append(answers[i][0])
+            return answers[i]
+
+        want = best(range(n), lambda i: answers[i], key=lambda got: got[0])
+        assert best(range(n), solve, key=lambda got: got[0], bound=bounds.__getitem__) == want
+        skipped += n - len(held) - answers.count(None)
+    assert skipped >= 300
 
 
 def test_columns_follow_group_order_then_signature_order():

@@ -240,6 +240,32 @@ def test_classify_detailed_equals_a_canonical_form_per_component():
     assert types_seen >= 500 and components_seen >= 3 * types_seen, (types_seen, components_seen)
 
 
+def test_a_memo_shared_across_graphs_anchor_orders_and_modes_changes_nothing():
+    # one memo for every call: the same edges with capacities and colors
+    # drawn again (so anchors keep their adjacency and components often
+    # their pattern, while anchor attributes change), other anchor orders
+    # (so anchor adjacency moves), and all three modes
+    rng = random.Random(31)
+    memo = {}
+    calls = components_seen = 0
+    for _ in range(30):
+        base = rand_vi_graph(rng, rng.randint(8, 40), rng.randint(2, 4))
+        s_list = sorted(vertex_integrity(base)[1].separator)
+        for _ in range(3):
+            g = with_colors(rng, with_caps(rng, base, by_degree=False), 2)
+            anchors = list(s_list)
+            rng.shuffle(anchors)
+            for mode in MODES:
+                got = [(t.code, t.anchor_count, t.size, comps, t.orders)
+                       for t, comps in classify_detailed(g, anchors, mode, memo=memo)]
+                assert got == _reference_classify_detailed(g, anchors, mode)
+                calls += 1
+                components_seen += sum(len(comps) for *_, comps, _ in got)
+    forms = sum(len(patterns) for patterns in memo.values())
+    # the memo is shared: anchor rows and patterns recur across calls
+    assert len(memo) < calls / 2 and forms < components_seen / 4, (len(memo), forms)
+
+
 def _nx_anchored(nx, g: Graph, s_list, comp, mode):
     """networkx graph on S + comp; anchors carry their position in S, and
     every vertex carries the attribute ``mode`` types respect."""
