@@ -1,11 +1,14 @@
-"""Small simple-graph container plus the structural primitives the solvers
-share: component splitting, induced subgraphs and anchored isomorphism.
+"""Small simple-graph container plus structural primitives: component
+splitting, induced subgraphs and anchored isomorphism.
 
 ``split`` is the one component splitter (``components``,
 ``is_connected_subset``, typesys pieces, the treedepth oracle).
 ``anchored_isomorphic`` is a backtracking isomorphism search between two
 whole graphs; no solver calls it, because the canonical forms of
 ``typesys`` already give the maps between components of one type.
+``induced``, ``Graph.copy`` and the named builders such as ``path_graph``
+are public helpers that no solver calls either, kept on purpose for
+tests, benchmarks and library callers.
 
 Vertices are dense integers 0..n-1.  Optional vertex capacities, vertex
 colors and edge weights are total maps when present (every vertex/edge has an

@@ -9,6 +9,7 @@ instance independently of comments or formatting.
 """
 
 import hashlib
+import inspect
 import random
 from dataclasses import dataclass, field
 from typing import Optional
@@ -302,20 +303,24 @@ def generate(kind: str, seed: int = 0, **params) -> str:
     so the result has vertex integrity at most k by construction.
     kind `random-vc` (params n, k, ...): every edge is incident to a
     fixed set of at most k vertices, so vertex cover at most k.
-    kind `reduction-source` (param source: bp | pt | dm): a numeric
-    instance satisfying the corresponding construction's preconditions.
+    kind `reduction-source` (params source: bp | pt | dm, t, n,
+    max_item): a numeric instance satisfying the corresponding
+    construction's preconditions.  A parameter the kind does not take
+    raises ValueError.
     """
+    if kind not in _GENERATORS:
+        raise ValueError(f"unknown generator kind `{kind}`")
+    make, taken = _GENERATORS[kind]
+    for key in sorted(params):
+        if key not in taken:
+            raise ValueError(f"generator kind `{kind}` does not take `{key}`")
     rng = random.Random(repr((kind, int(seed), sorted(params.items()))))
-    if kind == "random-vi":
-        return _serialize_graph(_random_vi(rng, **params))
-    if kind == "random-vc":
-        return _serialize_graph(_random_vc(rng, **params))
-    if kind == "reduction-source":
-        return serialize(_random_source(rng, **params))
-    raise ValueError(f"unknown generator kind `{kind}`")
+    return serialize(make(rng, **params))
 
 
 def _decorate(rng, n, edges, colors=0, weights=False, caps=False):
+    if colors < 0:
+        raise ValueError("need colors >= 0")
     cmap = {v: rng.randrange(colors) for v in range(n)} if colors else None
     wmap = {e: rng.randint(1, 9) for e in edges} if weights else None
     capmap = None
@@ -411,3 +416,8 @@ def _random_source(rng, source="bp", t=None, n=None, max_item=9):
         ]
         return ThreeDMInstance(nn, tuple(triples))
     raise ValueError(f"unknown source kind `{source}`")
+
+
+_GENERATORS = {kind: (make, tuple(inspect.signature(make).parameters)[1:])
+               for kind, make in (("random-vi", _random_vi), ("random-vc", _random_vc),
+                                  ("reduction-source", _random_source))}

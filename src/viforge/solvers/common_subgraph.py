@@ -29,7 +29,7 @@ took its heaviest decomposition, skips its piece IP.
 from collections import Counter
 from itertools import combinations, permutations
 
-from ..graphs import components, induced
+from ..graphs import components
 from ..ilp import IlpInstance, optimize
 from ..integrity import vertex_integrity
 from ..typesys import classify_detailed, enumerate_decompositions, g_type_of, piece_form
@@ -43,9 +43,9 @@ from .configuration import best
 # anchors followed by a component's canonical order, which maps it into
 # any component of the type.  It outlives a solve on purpose: the
 # benchmark's 144 crosscheck mcs/mcis solves, run in one process on a
-# 2-CPU machine with Python 3.11.7, took a median 0.30 s with it and
-# 0.34 s when it was cleared before each solve.  It grows with the
-# number of distinct types seen.
+# 2-CPU machine with Python 3.11.7, took a median 0.12 s with it and
+# 0.17 s when it was cleared before each solve (9 fresh processes
+# each).  It grows with the number of distinct types seen.
 _DECOMP_CACHE = {}
 
 
@@ -66,15 +66,8 @@ def _catalogue(t, h, rho, induced_flag):
     _DECOMP_CACHE[(t.code, induced_flag)] = (max(w for w, _, _ in decomps.values()), decomps)
 
 
-def _anchor_bits(h, rho):
-    bits = 0
-    pos = 0
-    for i in range(len(rho)):
-        for j in range(i + 1, len(rho)):
-            if h.has_edge(rho[i], rho[j]):
-                bits |= 1 << pos
-            pos += 1
-    return bits
+def _anchor_bits(g, rho):
+    return sum(1 << i for i, (u, v) in enumerate(combinations(rho, 2)) if g.has_edge(u, v))
 
 
 def _side_keys(g, sep, z_max, ordered, induced_flag, two_k, memo):
@@ -85,6 +78,8 @@ def _side_keys(g, sep, z_max, ordered, induced_flag, two_k, memo):
     The anchor order is sorted X + sorted Y + sorted Z when ``ordered``
     is false; otherwise all segment orders are produced, because the
     second side's anchor order encodes the bijection with the first.
+    The components left, those of G - S - Z, depend on Z alone, so G is
+    split once per Z and each anchor order is classified over them.
 
     Z meets at most ``z_max`` components of G - S, and an automorphism
     of G that fixes S carries the ones of each type onto the first
@@ -93,53 +88,43 @@ def _side_keys(g, sep, z_max, ordered, induced_flag, two_k, memo):
     keeps its key set exactly; the other side keeps it up to the order
     of Z's anchors, which the ordered side's orders cover.
 
-    Returns {(sizes, bits, codes): (kept vertices, anchor order)} in
-    the labels of g.  ``memo`` is the solve's ``classify_detailed``
-    memo.
+    Returns {(sizes, bits, codes): the key's first anchor order}, in
+    the labels of g; an order is its guess's witness, since X, Y and Z
+    are its segments.  ``memo`` is the solve's ``classify_detailed`` memo.
     """
     table = {}
     sep = sorted(sep)
-    sep_set = set(sep)
-    rest = [v for v in range(g.n) if v not in sep_set]
-    rest_set = set(rest)
-    z_pool = {v for _, cs in classify_detailed(g, sep, memo=memo) for c in cs[:z_max] for v in c}
+    free = sorted(v for _, cs in classify_detailed(g, sep, memo=memo)
+                  for c in cs[:z_max] for v in c)
+    splits = []
+    for z_size in range(min(z_max, len(free)) + 1):
+        for z_set in combinations(free, z_size):
+            comps = components(g, {*sep, *z_set})
+            splits.append((z_set, comps, max(map(len, comps), default=0)))
     for x_size in range(len(sep) + 1):
         for x_set in combinations(sep, x_size):
-            x_in = set(x_set)
-            left = [v for v in sep if v not in x_in]
+            left = [v for v in sep if v not in x_set]
             for y_size in range(len(left) + 1):
                 for y_set in combinations(left, y_size):
-                    kept = tuple(sorted(rest_set | x_in | set(y_set)))
-                    h, o2n = induced(g, list(kept))
-                    xh = [o2n[v] for v in x_set]
-                    yh = [o2n[v] for v in y_set]
-                    anchored = set(xh) | set(yh)
-                    free = [o2n[v] for v in rest if v in z_pool]
-                    n2o = {n: o for o, n in o2n.items()}
-                    for z_size in range(min(z_max, len(free)) + 1):
-                        for z_set in combinations(free, z_size):
-                            r_set = anchored | set(z_set)
-                            comps = components(h, r_set)
-                            if any(len(r_set) + len(c) > two_k for c in comps):
-                                continue
-                            # second side orders anchors as X, Z, Y so the
-                            # segment lengths line up with side one's X, Y, Z
-                            if ordered:
-                                rhos = [bx + bz + bw for bx in permutations(xh)
-                                        for bz in permutations(z_set) for bw in permutations(yh)]
-                                sizes = (len(xh), len(z_set), len(yh))
-                            else:
-                                rhos = [tuple(xh) + tuple(yh) + tuple(z_set)]
-                                sizes = (len(xh), len(yh), len(z_set))
-                            for rho in rhos:
-                                bits = _anchor_bits(h, rho)
-                                codes = []
-                                for t, cs in classify_detailed(h, list(rho), memo=memo):
-                                    _catalogue(t, h, list(rho), induced_flag)
-                                    codes.extend([t.code] * len(cs))
-                                key = (sizes, bits, tuple(sorted(codes)))
-                                if key not in table:
-                                    table[key] = (kept, tuple(n2o[v] for v in rho))
+                    for z_set, comps, largest in splits:
+                        if x_size + y_size + len(z_set) + largest > two_k:
+                            continue
+                        # second side orders anchors as X, Z, Y so the
+                        # segment lengths line up with side one's X, Y, Z
+                        if ordered:
+                            rhos = [bx + bz + bw for bx in permutations(x_set)
+                                    for bz in permutations(z_set) for bw in permutations(y_set)]
+                            sizes = (x_size, len(z_set), y_size)
+                        else:
+                            rhos = [x_set + y_set + z_set]
+                            sizes = (x_size, y_size, len(z_set))
+                        for rho in rhos:
+                            codes = []
+                            for t, cs in classify_detailed(g, rho, memo=memo, comps=comps):
+                                _catalogue(t, g, list(rho), induced_flag)
+                                codes.extend([t.code] * len(cs))
+                            key = (sizes, _anchor_bits(g, rho), tuple(sorted(codes)))
+                            table.setdefault(key, rho)
     return table
 
 
@@ -214,13 +199,14 @@ def _match_piece(rho1, piece1, rho2, piece2):
     return dict(zip(order1, order2))
 
 
-def _assigned_pieces(h, rho, cols, point, offset, induced_flag, memo):
+def _assigned_pieces(g, sep, rho, cols, point, offset, induced_flag, memo):
     """Concrete pieces realising the chosen decomposition counts, each
     read off the cached witness through its component's canonical
     order."""
     rho = list(rho)
+    comps = components(g, set(sep).union(rho))
     groups = {t.code: (t, list(range(len(cs))))
-              for t, cs in classify_detailed(h, rho, memo=memo)}
+              for t, cs in classify_detailed(g, rho, memo=memo, comps=comps)}
     pieces = []
     for i, (code, t_key, _, _, _) in enumerate(cols):
         t, left = groups[code]
@@ -231,34 +217,24 @@ def _assigned_pieces(h, rho, cols, point, offset, induced_flag, memo):
                 vs = [order[p] for p in vs]
                 f = {(order[p], order[q]) for (p, q) in f}
                 b = {(order[p], order[q]) for (p, q) in b}
-                pcode = g_type_of(h, rho, vs, b, f).code
+                pcode = g_type_of(g, rho, vs, b, f).code
                 pieces.append((pcode, (vs, f, b)))
     return pieces
 
 
-def _reconstruct(g1, g2, wit1, wit2, piece_answer, induced_flag, memo):
-    kept1, rho1_orig = wit1
-    kept2, rho2_orig = wit2
-    h1, o2n1 = induced(g1, list(kept1))
-    h2, o2n2 = induced(g2, list(kept2))
-    rho1 = tuple(o2n1[v] for v in rho1_orig)
-    rho2 = tuple(o2n2[v] for v in rho2_orig)
-
+def _reconstruct(g1, g2, s1, s2, rho1, rho2, piece_answer, induced_flag, memo):
     _, cols1, cols2, point = piece_answer
-    pieces1 = _assigned_pieces(h1, rho1, cols1, point, 0, induced_flag, memo)
-    pieces2 = _assigned_pieces(h2, rho2, cols2, point, len(cols1), induced_flag, memo)
+    pieces1 = _assigned_pieces(g1, s1, rho1, cols1, point, 0, induced_flag, memo)
+    pieces2 = _assigned_pieces(g2, s2, rho2, cols2, point, len(cols1), induced_flag, memo)
     pieces1.sort(key=lambda pc: pc[0])
     pieces2.sort(key=lambda pc: pc[0])
 
-    mapping = {rho1[i]: rho2[i] for i in range(len(rho1))}
+    mapping = dict(zip(rho1, rho2))
     for (c1, p1), (c2, p2) in zip(pieces1, pieces2):
         if c1 != c2:
             raise RuntimeError("piece code mismatch in matched solution")
         mapping.update(_match_piece(rho1, p1, rho2, p2))
-
-    n2o1 = {n: o for o, n in o2n1.items()}
-    n2o2 = {n: o for o, n in o2n2.items()}
-    return {n2o1[u]: n2o2[x] for u, x in mapping.items()}
+    return mapping
 
 
 def _common_solve(g1, g2, induced_flag):
@@ -312,7 +288,7 @@ def _common_solve(g1, g2, induced_flag):
 
     value, wit1, wit2, piece = best(guesses(), solve, key=lambda got: -got[0],
                                     bound=lambda guess: -guess[4])
-    return value, _reconstruct(g1, g2, wit1, wit2, piece, induced_flag, memo)
+    return value, _reconstruct(g1, g2, s1, s2, wit1, wit2, piece, induced_flag, memo)
 
 
 def mcs_vi(g1, g2):

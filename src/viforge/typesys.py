@@ -139,16 +139,21 @@ def type_of(g: Graph, s_ordered, c, mode="plain") -> ComponentType:
     return ComponentType(code, len(s_list), len(comp))
 
 
-def classify_detailed(g: Graph, s_ordered, mode="plain", memo=None):
+def classify_detailed(g: Graph, s_ordered, mode="plain", memo=None, comps=None):
     """Components of g - S grouped by type.
 
     Returns a list of (ComponentType, [component vertex lists]) sorted by
     code; component lists keep the smallest-vertex order, and the type's
     ``orders`` holds each member's canonical order, aligned with the list.
 
+    ``comps`` gives the components to group, as ``components`` lists
+    them; it defaults to those of g - S.  They may be the components of
+    g minus a superset R of S: a member's neighbours in R - S are
+    skipped, so the result is the one for g with R - S deleted.
+
     The canonical form is computed once per labelled pattern: for each
-    vertex of the sorted component, its S-link bitmask (bit i for the
-    i-th anchor), its in-component neighbour bitmask by position and its
+    vertex of the sorted component, a link mask (bit i for the i-th
+    anchor, bit |S| + j for the j-th vertex of its component) and its
     attribute.  The pattern fixes the matrix and the attribute vector
     that ``_canon_form`` reads over S + C (the anchor rows are the same
     for every component), so components with one pattern get the same
@@ -163,7 +168,15 @@ def classify_detailed(g: Graph, s_ordered, mode="plain", memo=None):
     """
     s_list = _check_anchor_list(g, s_ordered)
     adj = g.adjacency()
-    s_bit = {v: 1 << i for i, v in enumerate(s_list)}
+    if comps is None:
+        comps = components(g, set(s_list))
+        bit = {}
+    else:
+        bit = dict.fromkeys(range(g.n), 0)      # R - S adds no link
+    bit.update((v, 1 << i) for i, v in enumerate(s_list))
+    for comp in comps:
+        for j, v in enumerate(comp, len(s_list)):
+            bit[v] = 1 << j
     if memo is None:
         forms = {}              # pattern -> (code, canonical positions)
     else:
@@ -171,28 +184,25 @@ def classify_detailed(g: Graph, s_ordered, mode="plain", memo=None):
         anchors = (mode, len(s_list), tuple(_attr_vector(g, s_list, mode)), s_edges)
         forms = memo.setdefault(anchors, {})
     groups = {}
-    for comp in components(g, set(s_list)):
-        at = {v: j for j, v in enumerate(comp)}
+    for comp in comps:
         links = []
         for u in comp:
-            s_mask = c_mask = 0
+            mask = 0
             for w in adj[u]:
-                if w in s_bit:
-                    s_mask |= s_bit[w]
-                else:
-                    c_mask |= 1 << at[w]
-            links.append((s_mask, c_mask))
+                mask |= bit[w]
+            links.append(mask)
         pattern = (tuple(links), tuple(_attr_vector(g, comp, mode)))
         form = forms.get(pattern)
         if form is None:
             code, order = _component_form(g, s_list, comp, mode)
+            at = {v: j for j, v in enumerate(comp)}
             form = forms[pattern] = (code, tuple(at[v] for v in order))
         code, positions = form
-        comps, orders = groups.setdefault(code, ([], []))
-        comps.append(comp)
+        members, orders = groups.setdefault(code, ([], []))
+        members.append(comp)
         orders.append(tuple(comp[j] for j in positions))
-    return [(ComponentType(code, len(s_list), len(comps[0]), tuple(orders)), comps)
-            for code, (comps, orders) in sorted(groups.items())]
+    return [(ComponentType(code, len(s_list), len(members[0]), tuple(orders)), members)
+            for code, (members, orders) in sorted(groups.items())]
 
 
 def classify(g: Graph, s_ordered, mode="plain") -> dict:

@@ -1,9 +1,11 @@
 import random
 from itertools import combinations, permutations
+from math import comb
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+from viforge import graphs
 from viforge.graphs import (Graph, complete_graph, components, cycle_graph, induced, path_graph,
                             star_graph)
 from viforge.instances import generate, parse_text
@@ -11,6 +13,7 @@ from viforge.integrity import vertex_integrity
 from viforge.oracles import oracle_mcis, oracle_mcs, verify_mcis, verify_mcs
 from viforge.solvers import common_subgraph
 from viforge.solvers.common_subgraph import mcis_vi, mcs_vi
+from viforge.typesys import classify_detailed
 
 from conftest import BIG_BUDGET, rand_graph, rand_vi_graph
 
@@ -309,7 +312,7 @@ def _full_side_keys(g, sep, z_max, ordered, induced_flag, two_k, memo):
                                     codes += [t.code] * len(cs)
                                 key = (sizes, common_subgraph._anchor_bits(h, rho),
                                        tuple(sorted(codes)))
-                                table.setdefault(key, (tuple(kept), tuple(n2o[v] for v in rho)))
+                                table.setdefault(key, tuple(n2o[v] for v in rho))
     return table
 
 
@@ -388,3 +391,54 @@ def test_anchor_extensions_from_the_first_members_of_each_type_keep_every_value(
         assert val == want
     assert len(cases) == 144 + 24
     assert typed[common_subgraph._side_keys] < 0.8 * typed[_full_side_keys], typed
+
+
+def _relabeled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, {(perm[u], perm[v]) for (u, v) in g.edges})
+
+
+def test_values_survive_relabeling_past_oracle_reach():
+    # vertex names change neither value, and every mapping still checks
+    rng = random.Random("mcs-relabel")
+    pairs = [tuple(rand_vi_graph(rng, rng.randint(9, 14), rng.randint(2, 3)) for _ in "12")
+             for _ in range(30)]
+    pairs += [(_repeated_blocks(rng, rng.randint(8, 12), 2, 4),
+               _repeated_blocks(rng, rng.randint(6, 10), 2, 4)) for _ in range(5)]
+    for g1, g2 in pairs:
+        for solve, verify in ((mcs_vi, verify_mcs), (mcis_vi, verify_mcis)):
+            val, mapping = solve(g1, g2)
+            assert verify(g1, g2, mapping, val)
+            for h1, h2 in ((_relabeled(g1, rng), g2), (g1, _relabeled(g2, rng))):
+                got, moved = solve(h1, h2)
+                assert got == val
+                assert verify(h1, h2, moved, got)
+
+
+def test_each_extension_set_splits_its_graph_once(monkeypatch):
+    # a solve splits G - S - Z once per extension set Z of each side and
+    # once per side for the mapping, and builds no induced copy
+    g1, g2 = (parse_text(generate("random-vi", seed=s, n=8, k=3)).graph for s in (1, 2))
+    s1, s2 = (sorted(vertex_integrity(g)[1].separator) for g in (g1, g2))
+
+    def extension_sets(g, sep, z_max):
+        pool = sum(len(c) for _, cs in classify_detailed(g, sep) for c in cs[:z_max])
+        return sum(comb(pool, z) for z in range(min(z_max, pool) + 1))
+
+    want = extension_sets(g1, s1, len(s2)) + extension_sets(g2, s2, len(s1)) + 2
+
+    def refuse(*args):
+        raise AssertionError("no solver builds an induced copy")
+
+    monkeypatch.setattr(graphs, "induced", refuse)
+    assert not hasattr(common_subgraph, "induced")
+    calls = []
+    real = common_subgraph.components
+    monkeypatch.setattr(common_subgraph, "components",
+                        lambda *args: calls.append(args) or real(*args))
+    for solve, verify in ((mcs_vi, verify_mcs), (mcis_vi, verify_mcis)):
+        del calls[:]
+        val, mapping = solve(g1, g2)
+        assert verify(g1, g2, mapping, val)
+        assert len(calls) == want

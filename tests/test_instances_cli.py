@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -364,6 +365,24 @@ class TestCliGenParams:
                     "-o", b]) == EXIT_YES
         assert open(a).read() == open(b).read()
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv, named", [
+        (["random-vi", "--n", "5", "--k", "2", "--max-item", "3"], "max_item"),
+        (["random-vi", "--source", "bp"], "source"),
+        (["reduction-source", "--k", "3"], "k"),
+        (["reduction-source", "--source", "pt", "--colors", "2"], "colors"),
+        (["reduction-source", "--source", "bp", "--weights"], "weights"),
+        (["reduction-source", "--source", "bp", "--caps"], "caps"),
+        (["random-vi", "--colors", "-1"], "colors"),
+        (["random-vc", "--colors", "-2"], "colors"),
+    ])
+    def test_gen_rejects_an_option_its_kind_does_not_take(self, argv, named, capsys):
+        assert run(["gen", *argv]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert re.search(rf"\b{named}\b", captured.err)
+        assert "Traceback" not in captured.err
 
     def test_gen_to_stdout_parses(self, capsys):
         assert run(["gen", "reduction-source", "--source", "pt", "--seed", "3"]) == EXIT_YES

@@ -266,6 +266,37 @@ def test_a_memo_shared_across_graphs_anchor_orders_and_modes_changes_nothing():
     assert len(memo) < calls / 2 and forms < components_seen / 4, (len(memo), forms)
 
 
+def test_classify_detailed_over_given_components_reads_as_on_the_induced_copy():
+    # anchors from part of S plus an extension Z, grouped over the
+    # components of G - S - Z: the separator vertices left out are as if
+    # deleted, so the result is the one on the copy of G without them,
+    # mapped back to the labels of G
+    rng = random.Random(37)
+    skipped_links = 0
+    for _ in range(40):
+        g = rand_vi_graph(rng, rng.randint(6, 30), rng.randint(2, 4))
+        g = with_colors(rng, with_caps(rng, g, by_degree=False), 2)
+        sep = sorted(vertex_integrity(g)[1].separator)
+        kept = [v for v in sep if rng.random() < 0.5]
+        rest = [v for v in range(g.n) if v not in sep]
+        z = rng.sample(rest, min(len(rest), rng.randint(0, 2)))
+        rho = kept + z
+        rng.shuffle(rho)
+        comps = components(g, set(sep) | set(z))
+        h, o2n = induced(g, rest + kept)
+        n2o = {new: old for old, new in o2n.items()}
+        for mode in MODES:
+            got = [(t.code, t.anchor_count, t.size, members, t.orders)
+                   for t, members in classify_detailed(g, rho, mode, comps=comps)]
+            want = [(t.code, t.anchor_count, t.size, [[n2o[v] for v in c] for c in members],
+                     tuple(tuple(n2o[v] for v in order) for order in t.orders))
+                    for t, members in classify_detailed(h, [o2n[v] for v in rho], mode)]
+            assert got == want
+        left_out = set(sep) - set(kept)
+        skipped_links += sum(len(g.neighbors(v) & left_out) for c in comps for v in c)
+    assert skipped_links >= 40, skipped_links
+
+
 def _nx_anchored(nx, g: Graph, s_list, comp, mode):
     """networkx graph on S + comp; anchors carry their position in S, and
     every vertex carries the attribute ``mode`` types respect."""
