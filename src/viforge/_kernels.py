@@ -233,6 +233,35 @@ def _propagate(rows, b, lo, hi, occ, queue):
     return True
 
 
+def with_cutoff(rows, b, c, lo, hi):
+    """(cost, rows, b, occ): c's nonzero (j, c_j) pairs, the rows and
+    right-hand sides with the cutoff row c.x <= (largest c.x over the box)
+    appended last, and ``occ[j]``, the rows that hold variable j."""
+    cost = [(j, cj) for j, cj in enumerate(c) if cj]
+    rows = rows + [cost]
+    b = b + [sum(cj * (hi[j] if cj > 0 else lo[j]) for j, cj in cost)]
+    occ = [[] for _ in lo]
+    for r, row in enumerate(rows):
+        for j, _ in row:
+            occ[j].append(r)
+    return cost, rows, b, occ
+
+
+# Nodes (``_propagate`` calls) an ``ilp_scan`` may visit before it gives
+# up.  Every IP of the benchmark's workloads ends within a quarter of it:
+# the largest takes 1,915 nodes (a deep mcs piece IP).
+SCAN_NODES = 8000
+
+
+class ScanBudgetSpent(Exception):
+    """``ilp_scan`` visited SCAN_NODES nodes; ``incumbent`` is its best
+    (point, value) so far, or None."""
+
+    def __init__(self, incumbent):
+        super().__init__(incumbent)
+        self.incumbent = incumbent
+
+
 def ilp_scan(rows, b, lo, hi, c, find_opt, desc):
     """Depth-first branch and bound over an integer box with interval
     propagation against rows A x <= b.
@@ -275,22 +304,22 @@ def ilp_scan(rows, b, lo, hi, c, find_opt, desc):
     its sign agrees with j's branching direction, that term only grows
     over the later values while the cutoff only drops, so the first
     failing value ends the frame.
+
+    The node after the SCAN_NODES-th raises ScanBudgetSpent.
     """
-    cost = [(j, cj) for j, cj in enumerate(c) if cj]
-    cut = len(rows)
-    rows = rows + [cost]
-    b = b + [sum(cj * (hi[j] if cj > 0 else lo[j]) for j, cj in cost)]
-    occ = [[] for _ in lo]
-    for r, row in enumerate(rows):
-        for j, _ in row:
-            occ[j].append(r)
+    cost, rows, b, occ = with_cutoff(rows, b, c, lo, hi)
+    cut = len(rows) - 1
     start = [[cut] + [r for r in rs if r != cut] for rs in occ]
     p = len(lo)
     best = None
     stack = []
     node = (list(lo), list(hi), deque(range(len(rows))))
+    budget = SCAN_NODES
     while True:
         if node is not None:
+            if not budget:
+                raise ScanBudgetSpent(best)
+            budget -= 1
             lo, hi, queue = node
             node = None
             if _propagate(rows, b, lo, hi, occ, queue):

@@ -7,8 +7,13 @@ integer that ``operator.index`` accepts; any other raises
 ``IlpInputError``.  Solving is depth-first branch and bound with
 interval propagation, so answers are exact and deterministic: variables
 branch in model order, values ascend, and for maximisation the first
-objective-carrying variable descends.  Certificates are the first
-optimum in that canonical search order.
+objective-carrying variable descends.  When that scan ends within its
+budget of ``_kernels.SCAN_NODES`` nodes, the certificate is the first
+optimum (or feasible point) in that canonical search order.  Past the
+budget, an LP-bounded search (``_lp_search``) takes over from the
+scan's incumbent, and the certificate is the optimum (or feasible point)
+it returns: still exact, because every bound it prunes by is recomputed
+in exact arithmetic (see ``lp``), but not always the canonically first.
 
 Propagation at a node visits only the rows whose variables changed (see
 ``ilp_scan``).  Each row's tightening is monotone and idempotent, so the
@@ -26,11 +31,14 @@ canonical order, and only a strictly better point replaces the
 incumbent, so the answer is still the first optimum in that order.
 """
 
+import math
 import operator
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ._kernels import ilp_scan
+from ._kernels import ScanBudgetSpent, _propagate, ilp_scan, with_cutoff
+from .lp import constraint_rows, exact_bound, simplex
 
 RELATIONS = ("<=", ">=", "==")
 
@@ -113,18 +121,108 @@ def _run(inst: IlpInstance, minimise_coeffs, find_opt: bool):
             if cj != 0:
                 desc[j] = True
                 break
-    return ilp_scan(sparse, b, lo, hi, minimise_coeffs, find_opt, desc)
+    try:
+        return ilp_scan(sparse, b, lo, hi, minimise_coeffs, find_opt, desc)
+    except ScanBudgetSpent as spent:
+        return _lp_search(inst, sparse, b, lo, hi, minimise_coeffs, spent.incumbent)
+
+
+# an LP value within this of an integer counts as that integer
+_INT_TOL = 1e-6
+
+
+def _lp_search(inst, rows, b, lo, hi, c, best):
+    """An optimum of c.x (minimisation) over ``inst``, or None, by
+    depth-first branch and bound with LP bounds, from the incumbent
+    ``best`` (point, value) or None.
+
+    A node propagates its box against ``rows`` (A x <= b) and the cutoff
+    row c.x <= v - 1, as ``ilp_scan`` does, then solves the LP relaxation
+    over the box.  It is dropped when the exact Farkas check proves the
+    box empty or the ceiling of its exact LP bound reaches the incumbent.
+    An LP optimum that rounds to a point meeting every row exactly may
+    become the incumbent, and ends the node when it meets the node's
+    bound.  Otherwise the box is bisected on the fractional variable
+    nearest one half, the child nearer the LP value first; a box without
+    one (a float miss) is bisected on its widest variable.  The search
+    stops when the incumbent reaches the ceiling of the root bound.  With
+    c = 0 that is the first point found."""
+    coeffs, rels, rhs = constraint_rows(inst)
+    zero = [0] * len(c)
+    cost, rows, b, occ = with_cutoff(rows, b, c, lo, hi)
+    cut = len(rows) - 1
+    if best is not None:
+        b[cut] = best[1] - 1
+    root = None
+    stack = [(list(lo), list(hi), None)]
+    while stack:
+        lo, hi, warm = stack.pop()
+        if not _propagate(rows, b, lo, hi, occ, deque(range(len(rows)))):
+            continue
+        x = bound = None
+        if lo == hi:
+            # propagation checked every row at this point, the cutoff too
+            point = lo
+        else:
+            x, y, warm = simplex(coeffs, rels, rhs, c, lo, hi, warm)
+            if x is None:
+                if exact_bound(coeffs, rels, rhs, zero, lo, hi, y) > 0:
+                    continue
+            else:
+                bound = math.ceil(exact_bound(coeffs, rels, rhs, c, lo, hi, y))
+                if root is None:
+                    root = bound
+                if best is not None and bound >= best[1]:
+                    continue
+            point = None if x is None else _rounded(x, lo, hi, rows, b)
+        if point is not None:
+            best = tuple(point), sum(cj * point[j] for j, cj in cost)
+            b[cut] = best[1] - 1
+            if root is not None and best[1] <= root:
+                break
+            if x is None or best[1] <= bound:
+                continue
+        j = -1
+        for i, v in enumerate(x or ()):
+            f = v - math.floor(v)
+            if lo[i] < hi[i] and _INT_TOL < f < 1 - _INT_TOL and (
+                    j < 0 or abs(f - 0.5) < abs(frac - 0.5)):
+                j, frac = i, f
+        if j >= 0:
+            split = min(max(math.floor(x[j]), lo[j]), hi[j] - 1)
+            up_first = frac > 0.5
+        else:
+            j = max(range(len(lo)), key=lambda i: hi[i] - lo[i])
+            split = (lo[j] + hi[j]) // 2
+            up_first = False
+        down = (lo, hi[:j] + [split] + hi[j + 1:], warm)
+        up = (lo[:j] + [split + 1] + lo[j + 1:], hi, warm)
+        stack += [down, up] if up_first else [up, down]
+    return best
+
+
+def _rounded(x, lo, hi, rows, b):
+    """``x`` rounded to integers when every entry is within _INT_TOL of
+    its rounding and the result lies in the box and meets every row
+    exactly; else None."""
+    point = [round(v) for v in x]
+    if all(abs(v - q) <= _INT_TOL and l <= q <= h for v, q, l, h in zip(x, point, lo, hi)) \
+            and all(sum(a * point[j] for j, a in row) <= bi for row, bi in zip(rows, b)):
+        return point
+    return None
 
 
 def feasible(inst: IlpInstance) -> Optional[tuple]:
-    """First feasible point in canonical search order, or None."""
+    """A feasible point, or None: the first in canonical search order
+    when the scan ends within its budget."""
     got = _run(inst, (0,) * inst.p, find_opt=False)
     return got[0] if got is not None else None
 
 
 def optimize(inst: IlpInstance) -> Optional[tuple]:
-    """(point, objective value) for the first optimum in canonical order,
-    or None when infeasible.  Requires an objective."""
+    """(point, objective value) for an optimum, or None when infeasible:
+    the first optimum in canonical order when the scan ends within its
+    budget.  Requires an objective."""
     if inst.objective is None:
         raise IlpInputError("optimize needs an objective")
     coeffs, sense = inst.objective

@@ -303,17 +303,24 @@ def generate(kind: str, seed: int = 0, **params) -> str:
     so the result has vertex integrity at most k by construction.
     kind `random-vc` (params n, k, ...): every edge is incident to a
     fixed set of at most k vertices, so vertex cover at most k.
-    kind `reduction-source` (params source: bp | pt | dm, t, n,
-    max_item): a numeric instance satisfying the corresponding
-    construction's preconditions.  A parameter the kind does not take
-    raises ValueError.
+    kind `reduction-source` (params source: bp | pt | dm; bp takes t,
+    pt takes n and max_item, dm takes n): a numeric instance satisfying
+    the corresponding construction's preconditions.  A parameter the
+    kind, or its source, does not take raises ValueError.
     """
     if kind not in _GENERATORS:
         raise ValueError(f"unknown generator kind `{kind}`")
     make, taken = _GENERATORS[kind]
+    where = f"generator kind `{kind}`"
+    if kind == "reduction-source":
+        source = params.get("source", "bp")
+        if source not in _SOURCES:
+            raise ValueError(f"unknown source kind `{source}`")
+        taken += _SOURCES[source][1]
+        where += f" with source `{source}`"
     for key in sorted(params):
         if key not in taken:
-            raise ValueError(f"generator kind `{kind}` does not take `{key}`")
+            raise ValueError(f"{where} does not take `{key}`")
     rng = random.Random(repr((kind, int(seed), sorted(params.items()))))
     return serialize(make(rng, **params))
 
@@ -381,43 +388,56 @@ def _random_vc(rng, n=12, k=2, colors=0, weights=False, caps=False):
     return _decorate(rng, n, edges, colors, weights, caps)
 
 
-def _random_source(rng, source="bp", t=None, n=None, max_item=9):
-    if source == "bp":
-        bins = int(t) if t is not None else rng.randint(3, 5)
-        if bins < 3:
-            raise ValueError("bp sources need t >= 3")
-        target = rng.randint(2, 5)
-        items = []
-        remaining = bins * target
-        while remaining:
-            a = rng.randint(1, min(target - 1, remaining))
-            items.append(a)
-            remaining -= a
-        return BinPackingInstance(tuple(items), bins)
-    if source == "pt":
-        count = int(n) if n is not None else rng.choice([10, 12])
-        if count < 10 or count % 2:
-            raise ValueError("pt sources need an even n >= 10")
-        items = [rng.randint(1, int(max_item)) for _ in range(count - 1)]
-        last = rng.randint(1, int(max_item))
-        if (sum(items) + last) % 2:
-            last += 1
-        return PartitionInstance(tuple(items + [last]))
-    if source == "dm":
-        nn = int(n) if n is not None else 2
-        if nn < 0:
-            raise ValueError("dm sources need n >= 0")
-        triples = [
-            (x, y, z)
-            for x in range(nn)
-            for y in range(nn)
-            for z in range(nn)
-            if rng.random() < 0.4
-        ]
-        return ThreeDMInstance(nn, tuple(triples))
-    raise ValueError(f"unknown source kind `{source}`")
+def _random_bp(rng, t=None):
+    bins = int(t) if t is not None else rng.randint(3, 5)
+    if bins < 3:
+        raise ValueError("bp sources need t >= 3")
+    target = rng.randint(2, 5)
+    items = []
+    remaining = bins * target
+    while remaining:
+        a = rng.randint(1, min(target - 1, remaining))
+        items.append(a)
+        remaining -= a
+    return BinPackingInstance(tuple(items), bins)
 
 
-_GENERATORS = {kind: (make, tuple(inspect.signature(make).parameters)[1:])
-               for kind, make in (("random-vi", _random_vi), ("random-vc", _random_vc),
-                                  ("reduction-source", _random_source))}
+def _random_pt(rng, n=None, max_item=9):
+    count = int(n) if n is not None else rng.choice([10, 12])
+    if count < 10 or count % 2:
+        raise ValueError("pt sources need an even n >= 10")
+    items = [rng.randint(1, int(max_item)) for _ in range(count - 1)]
+    last = rng.randint(1, int(max_item))
+    if (sum(items) + last) % 2:
+        last += 1
+    return PartitionInstance(tuple(items + [last]))
+
+
+def _random_dm(rng, n=None):
+    nn = int(n) if n is not None else 2
+    if nn < 0:
+        raise ValueError("dm sources need n >= 0")
+    triples = [
+        (x, y, z)
+        for x in range(nn)
+        for y in range(nn)
+        for z in range(nn)
+        if rng.random() < 0.4
+    ]
+    return ThreeDMInstance(nn, tuple(triples))
+
+
+def _random_source(rng, source="bp", **params):
+    return _SOURCES[source][0](rng, **params)
+
+
+def _takes(make):
+    """The parameters ``make`` takes after its rng."""
+    return tuple(inspect.signature(make).parameters)[1:]
+
+
+_SOURCES = {source: (make, _takes(make))
+            for source, make in (("bp", _random_bp), ("pt", _random_pt), ("dm", _random_dm))}
+_GENERATORS = {kind: (make, _takes(make))
+               for kind, make in (("random-vi", _random_vi), ("random-vc", _random_vc))}
+_GENERATORS["reduction-source"] = (_random_source, ("source",))

@@ -7,9 +7,14 @@ skips a ``None`` answer.  Without a ``key`` it is a decision: it returns
 the first answer and calls ``solve`` no further.  With a ``key`` it
 returns the first answer with the smallest key, since only a strictly
 better answer replaces the best so far; so the answer is the first
-optimum in the solver's canonical guess order.  ``best`` never calls the
-integer program itself: each solver calls ``optimize`` or ``feasible``
-through its own module's binding.
+optimum in the solver's canonical guess order.  With a ``bound`` as
+well, a lower bound on each guess's key, it visits the guesses in
+(bound, canonical index) order and stops at the first one that cannot
+win.  The tie rule keeps the answer: an equal key replaces the best one
+only from an earlier canonical position, and a guess whose bound equals
+the best key is visited only from an earlier one.  ``best`` never calls
+the integer program itself: each solver calls ``optimize`` or
+``feasible`` through its own module's binding.
 
 Once S is fixed, the components of G - S come in groups of equal
 anchored type (``classify_detailed``), and each group's first component
@@ -33,21 +38,38 @@ def best(guesses, solve, key=None, bound=None):
     first answer whose key is smallest; None when every answer is None.
 
     ``bound(guess)``, when given with a ``key``, must be at most the key
-    of the guess's answer.  A guess whose bound is not below the best key
-    so far cannot strictly win, so it is skipped without calling
-    ``solve``, and the answer is still the first optimum."""
-    top = top_key = None
-    for guess in guesses:
-        if bound is not None and top is not None and not bound(guess) < top_key:
-            continue
-        got = solve(guess)
+    of the guess's answer (any value for a None answer).  The guesses
+    are then listed and visited in (bound, canonical index) order, and
+    the first guess whose (bound, index) is past the best (key, index)
+    so far ends the loop: every guess from there on has a bound above
+    the best key, or equal to it from a later canonical position, so it
+    cannot win.  An answer replaces the best one when its (key, index)
+    is smaller, so the answer is still the first optimum in canonical
+    order.  A lone guess is solved without its bound."""
+    if key is None or bound is None:
+        top = top_key = None
+        for guess in guesses:
+            got = solve(guess)
+            if got is None:
+                continue
+            if key is None:
+                return got
+            got_key = key(got)
+            if top is None or got_key < top_key:
+                top, top_key = got, got_key
+        return top
+    listed = list(guesses)
+    bounds = [bound(guess) for guess in listed] if len(listed) > 1 else [0]
+    top = top_rank = None
+    for rank in sorted(zip(bounds, range(len(listed)))):
+        if top is not None and rank > top_rank:
+            break
+        got = solve(listed[rank[1]])
         if got is None:
             continue
-        if key is None:
-            return got
-        got_key = key(got)
-        if top is None or got_key < top_key:
-            top, top_key = got, got_key
+        got_rank = key(got), rank[1]
+        if top is None or got_rank < top_rank:
+            top, top_rank = got, got_rank
     return top
 
 

@@ -11,11 +11,13 @@ each signature is chosen by the integer program of
 ``solvers/configuration.py``.
 """
 
+import math
 from itertools import combinations_with_replacement, permutations
 
 from ..graphs import anchored_isomorphic  # noqa: F401  (perfbench wraps this binding)
 from ..ilp import optimize
 from ..integrity import vertex_integrity
+from ..lp import lp_bound
 from ..typesys import classify_detailed
 from .configuration import best, columns, configuration_ip, place
 
@@ -74,7 +76,9 @@ def _placements(g, sigma, comp):
     return out
 
 
-def _solve_for_order(g, sigma):
+def _order_ip(g, sigma):
+    """(sigma, groups, columns, instance): the configuration IP of the
+    separator order sigma."""
     groups = classify_detailed(g, sigma)
     # one count per (group, placement signature), then y_j >= the
     # imbalance of sigma[j]
@@ -95,6 +99,19 @@ def _solve_for_order(g, sigma):
         rows.append((tuple(diff) + y, ">=", -d0))
     obj = [im for _, ((im, _), _) in cols] + [1] * n_y
     inst = configuration_ip(groups, cols, rows, (obj, "min"), [(0, g.n)] * n_y)
+    return sigma, groups, cols, inst
+
+
+def _root_bound(guess):
+    """The ceiling of the order IP's exact LP bound, at most its optimum
+    and so at most the order's imbalance; inf when the LP proves the IP
+    infeasible."""
+    bound, _ = lp_bound(guess[3])
+    return math.inf if bound is None else math.ceil(bound)
+
+
+def _solve_for_order(g, guess):
+    sigma, groups, cols, inst = guess
     got = optimize(inst)
     if got is None:
         return None
@@ -119,12 +136,15 @@ def imbalance_vi(g):
     separator has the same optimum as reversed(sigma).  When
     sigma[0] > sigma[-1], reversed(sigma) comes earlier in lexicographic
     order, and only a strictly better answer replaces the best one, so
-    skipping sigma changes no answer.
+    skipping sigma changes no answer.  The orders are visited in the order
+    of their IPs' LP bounds (see ``configuration.best``), so an order
+    whose bound cannot beat the best imbalance so far is never solved.
     """
     g.validate()
     if g.n == 0:
         return 0, []
     _, vis = vertex_integrity(g)
-    orders = (list(sigma) for sigma in permutations(sorted(vis.separator))
-              if len(sigma) < 2 or sigma[0] < sigma[-1])
-    return best(orders, lambda sigma: _solve_for_order(g, sigma), key=lambda got: got[0])
+    ips = (_order_ip(g, list(sigma)) for sigma in permutations(sorted(vis.separator))
+           if len(sigma) < 2 or sigma[0] < sigma[-1])
+    return best(ips, lambda guess: _solve_for_order(g, guess), key=lambda got: got[0],
+                bound=_root_bound)

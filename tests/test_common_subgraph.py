@@ -224,9 +224,11 @@ def _sides(g1, g2, induced_flag, side_keys=None):
 
 def _replayed_piece_ips(g1, g2, induced_flag):
     """(every distinct (codes1, codes2) pair of the guesses one solve pairs
-    up, the pairs whose piece IP the guess loop solves): a guess is
-    solved only while its base plus the smaller side's heaviest piece
-    total can still beat the best value so far."""
+    up, the pairs whose piece IP the guess loop solves): guesses are
+    visited by falling reach (base plus the smaller side's heaviest piece
+    total), ties in canonical order, and the loop ends at the first guess
+    whose reach is below the best value so far, or equal to it from a
+    later canonical position."""
     side1, side2 = _sides(g1, g2, induced_flag)
     cache = common_subgraph._DECOMP_CACHE
 
@@ -234,19 +236,24 @@ def _replayed_piece_ips(g1, g2, induced_flag):
         return sum(max(w for w, _, _ in cache[(code, induced_flag)][1].values())
                    for code in codes)
 
-    pairs, solved, top = set(), {}, None
+    guesses = []
     for (sizes1, bits1, codes1) in side1:
         for (sizes2, bits2, codes2) in side2:
             if sizes1 != sizes2 or (induced_flag and bits1 != bits2):
                 continue
             base = sum(sizes1) if induced_flag else bin(bits1 & bits2).count("1")
-            pairs.add((codes1, codes2))
-            if top is not None and base + min(reach(codes1), reach(codes2)) <= top:
-                continue
-            if (codes1, codes2) not in solved:
-                solved[codes1, codes2] = common_subgraph._piece_ilp(codes1, codes2, induced_flag)[0]
-            top = max(top or 0, base + solved[codes1, codes2])
-    return pairs, set(solved)
+            guesses.append((base + min(reach(codes1), reach(codes2)), base, (codes1, codes2)))
+    solved, top = {}, None
+    for i in sorted(range(len(guesses)), key=lambda i: (-guesses[i][0], i)):
+        most, base, codes = guesses[i]
+        if top is not None and (most < top[0] or (most == top[0] and i > top[1])):
+            break
+        if codes not in solved:
+            solved[codes] = common_subgraph._piece_ilp(*codes, induced_flag)[0]
+        value = base + solved[codes]
+        if top is None or value > top[0] or (value == top[0] and i < top[1]):
+            top = value, i
+    return {codes for _, _, codes in guesses}, set(solved)
 
 
 def test_each_piece_ip_is_solved_once(monkeypatch):

@@ -49,29 +49,68 @@ def test_a_decision_stops_at_the_first_yes_and_reads_guesses_lazily():
     assert pulled == [0, 1, 2, 3]
 
 
+def _guess_stream(rng):
+    """Seeded answers (or None) whose keys tie often, and bounds at most
+    each answer's key, often equal to it (any value for a None answer)."""
+    n = rng.randint(0, 12)
+    answers = [None if rng.random() < 0.2 else (rng.randint(0, 6), i) for i in range(n)]
+    bounds = [rng.randint(-2, 8) if got is None else got[0] - rng.choice((0, 0, 1, 3))
+              for got in answers]
+    return answers, bounds
+
+
+def _canonical_with_skipping(answers, bounds):
+    """(answer, calls) of the canonical loop that skips a guess whose
+    bound is not below the best key so far."""
+    top, calls = None, 0
+    for got, bound in zip(answers, bounds):
+        if top is not None and not bound < top[0]:
+            continue
+        calls += 1
+        if got is not None and (top is None or got[0] < top[0]):
+            top = got
+    return top, calls
+
+
 def test_a_bound_skips_only_guesses_that_cannot_strictly_win():
-    # seeded guess streams: answers (or None) with keys that tie often,
-    # and bounds at most the answer's key (any value for a None answer)
+    # a guess is solved only while its (bound, index) is below the best
+    # (key, index) held, and the guesses come in (bound, index) order
     skipped = 0
     for seed in range(300):
-        rng = random.Random(seed)
-        n = rng.randint(0, 12)
-        answers = [None if rng.random() < 0.2 else (rng.randint(0, 6), i) for i in range(n)]
-        bounds = [rng.randint(-2, 8) if got is None else got[0] - rng.choice((0, 0, 1, 3))
-                  for got in answers]
-        held = []
+        answers, bounds = _guess_stream(random.Random(seed))
+        n = len(answers)
+        held, seen = [], []
 
         def solve(i):
-            # only a guess whose bound is below the key held now is solved
-            assert not held or bounds[i] < min(held)
+            assert not held or (bounds[i], i) < min(held)
+            seen.append((bounds[i], i))
             if answers[i] is not None:
-                held.append(answers[i][0])
+                held.append((answers[i][0], i))
             return answers[i]
 
         want = best(range(n), lambda i: answers[i], key=lambda got: got[0])
         assert best(range(n), solve, key=lambda got: got[0], bound=bounds.__getitem__) == want
-        skipped += n - len(held) - answers.count(None)
+        assert seen == sorted(seen)
+        skipped += n - len(seen)
     assert skipped >= 300
+
+
+def test_bound_order_keeps_the_canonical_answer_and_solves_no_more():
+    # the first optimum in canonical order, with no more solve calls than
+    # the canonical loop with skipping; equal keys and bounds equal to the
+    # key are common, so dropping either half of the tie rule (visit a
+    # bound equal to the best key only from an earlier index; replace an
+    # equal key only from an earlier index) changes some answer
+    fewer = 0
+    for seed in range(2000):
+        answers, bounds = _guess_stream(random.Random(f"bound-order-{seed}"))
+        want, canonical_calls = _canonical_with_skipping(answers, bounds)
+        solve, calls = _counted(dict(enumerate(answers)))
+        got = best(range(len(answers)), solve, key=lambda got: got[0], bound=bounds.__getitem__)
+        assert got is want
+        assert len(calls) <= canonical_calls
+        fewer += len(calls) < canonical_calls
+    assert fewer >= 200
 
 
 def test_columns_follow_group_order_then_signature_order():

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import permutations
 from math import factorial
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from viforge.graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph
 from viforge.integrity import vertex_integrity
+from viforge.lp import lp_bound
 from viforge.oracles import oracle_imbalance, verify_imbalance
 from viforge.solvers import imbalance
 from viforge.solvers.imbalance import imbalance_of, imbalance_vi
@@ -84,21 +86,39 @@ def _full_walk(g):
     _, vis = vertex_integrity(g)
     best = None
     for sigma in permutations(sorted(vis.separator)):
-        got = imbalance._solve_for_order(g, list(sigma))
+        got = imbalance._solve_for_order(g, imbalance._order_ip(g, list(sigma)))
         if got is not None and (best is None or got[0] < best[0]):
             best = got
     return best
 
 
+def _bound_walk(g, orders):
+    """The orders a bound-ordered walk solves: by (ceiling of the order
+    IP's LP bound, position), until the first order whose bound is above
+    the best imbalance so far, or equal to it from a later position."""
+    ips = [imbalance._order_ip(g, sigma) for sigma in orders]
+    bounds = [math.ceil(lp_bound(ip[3])[0]) for ip in ips]
+    solved, top = [], None
+    for i in sorted(range(len(ips)), key=lambda i: (bounds[i], i)):
+        if top is not None and (bounds[i], i) > top:
+            break
+        solved.append(orders[i])
+        value = imbalance._solve_for_order(g, ips[i])[0]
+        assert bounds[i] <= value
+        top = min(top or (value, i), (value, i))
+    return solved
+
+
 def test_half_the_separator_orders_give_the_full_walk(monkeypatch):
     # reversing an ordering keeps its imbalance, so the solver skips the
-    # orders whose reversal came first; value and ordering stay the same
+    # orders whose reversal came first, and visits the rest by LP bound;
+    # value and ordering stay the same
     rng = random.Random(6)
     real = imbalance._solve_for_order
     tried = []
     monkeypatch.setattr(imbalance, "_solve_for_order",
-                        lambda g, sigma: tried.append(sigma) or real(g, sigma))
-    checked = wide = 0
+                        lambda g, guess: tried.append(guess[0]) or real(g, guess))
+    checked = wide = skipped = 0
     while checked < 30:
         g = rand_vi_graph(rng, rng.randint(5, 10), k=rng.randint(4, 5))
         _, vis = vertex_integrity(g)
@@ -106,10 +126,14 @@ def test_half_the_separator_orders_give_the_full_walk(monkeypatch):
         if len(sep) < 3:
             continue
         want = _full_walk(g)
+        half = [list(sigma) for sigma in permutations(sep) if sigma[0] < sigma[-1]]
+        assert len(half) == factorial(len(sep)) // 2
+        replay = _bound_walk(g, half)
         tried.clear()
         assert imbalance_vi(g) == want
-        assert len(tried) == factorial(len(sep)) // 2
-        assert all(sigma[0] < sigma[-1] for sigma in tried)
+        assert tried == replay
         checked += 1
         wide += len(sep) >= 4
+        skipped += len(half) - len(tried)
+    assert skipped > 0
     assert wide >= 2

@@ -375,6 +375,10 @@ class TestCliGenParams:
         (["reduction-source", "--source", "bp", "--caps"], "caps"),
         (["random-vi", "--colors", "-1"], "colors"),
         (["random-vc", "--colors", "-2"], "colors"),
+        (["reduction-source", "--source", "bp", "--n", "5"], "n"),
+        (["reduction-source", "--n", "5"], "n"),
+        (["reduction-source", "--source", "bp", "--max-item", "3"], "max_item"),
+        (["reduction-source", "--source", "dm", "--max-item", "3"], "max_item"),
     ])
     def test_gen_rejects_an_option_its_kind_does_not_take(self, argv, named, capsys):
         assert run(["gen", *argv]) == EXIT_USAGE
