@@ -145,7 +145,8 @@ def _lp_search(inst, rows, b, lo, hi, c, best):
     bound.  Otherwise the box is bisected on the fractional variable
     nearest one half, the child nearer the LP value first; a box without
     one (a float miss) is bisected on its widest variable.  The search
-    stops when the incumbent reaches the ceiling of the root bound.  With
+    stops when the incumbent reaches the ceiling of the root node's bound;
+    a root whose LP gives no bound lets the search run to its end.  With
     c = 0 that is the first point found."""
     coeffs, rels, rhs = constraint_rows(inst)
     zero = [0] * len(c)
@@ -153,6 +154,7 @@ def _lp_search(inst, rows, b, lo, hi, c, best):
     cut = len(rows) - 1
     if best is not None:
         b[cut] = best[1] - 1
+    # the ceiling of the first node's LP bound, -inf when it gives none
     root = None
     stack = [(list(lo), list(hi), None)]
     while stack:
@@ -170,15 +172,15 @@ def _lp_search(inst, rows, b, lo, hi, c, best):
                     continue
             else:
                 bound = math.ceil(exact_bound(coeffs, rels, rhs, c, lo, hi, y))
-                if root is None:
-                    root = bound
                 if best is not None and bound >= best[1]:
                     continue
             point = None if x is None else _rounded(x, lo, hi, rows, b)
+        if root is None:
+            root = -math.inf if bound is None else bound
         if point is not None:
             best = tuple(point), sum(cj * point[j] for j, cj in cost)
             b[cut] = best[1] - 1
-            if root is not None and best[1] <= root:
+            if best[1] <= root:
                 break
             if x is None or best[1] <= bound:
                 continue

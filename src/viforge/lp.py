@@ -294,21 +294,11 @@ def _box(inst, lo, hi):
             list(hi) if hi is not None else [h for _, h in inst.bounds])
 
 
-def dual_bound(inst, y, lo=None, hi=None, objective=True):
-    """The exact bound that multipliers ``y`` (one per constraint of
-    ``inst``, in minimisation form) give over the box lo..hi, by default
-    ``inst``'s own: at most every feasible c.x for a min objective, at
-    least every one for a max.  With ``objective=False`` it is the Farkas
-    value, c taken as 0: a positive value proves the box infeasible."""
-    c, sign = _min_objective(inst) if objective else ([0] * inst.p, 1)
-    return sign * exact_bound(*constraint_rows(inst), c, *_box(inst, lo, hi), y)
-
-
 def lp_bound(inst, lo=None, hi=None):
     """(bound, y) for ``inst`` over the box lo..hi (default: its own).
 
-    ``bound`` is the exact ``dual_bound`` of the simplex's multipliers y,
-    a Fraction at most the min (at least the max) of the objective over
+    ``bound`` is the ``exact_bound`` of the simplex's multipliers y, a
+    Fraction at most the min (at least the max) of the objective over
     the integer points, and of the LP, that meet the constraints; an
     instance without an objective reads as c = 0.  When the simplex finds
     the box infeasible and y passes the exact Farkas check, the answer is

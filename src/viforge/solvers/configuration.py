@@ -30,6 +30,9 @@ representative's order with the member's, S held fixed, is the map, so
 placing searches nothing.
 """
 
+import math
+from itertools import repeat
+
 from ..ilp import IlpInstance
 
 
@@ -37,29 +40,24 @@ def best(guesses, solve, key=None, bound=None):
     """The first answer of ``solve`` over ``guesses``, or with ``key`` the
     first answer whose key is smallest; None when every answer is None.
 
-    ``bound(guess)``, when given with a ``key``, must be at most the key
-    of the guess's answer (any value for a None answer).  The guesses
-    are then listed and visited in (bound, canonical index) order, and
-    the first guess whose (bound, index) is past the best (key, index)
-    so far ends the loop: every guess from there on has a bound above
-    the best key, or equal to it from a later canonical position, so it
-    cannot win.  An answer replaces the best one when its (key, index)
-    is smaller, so the answer is still the first optimum in canonical
-    order.  A lone guess is solved without its bound."""
-    if key is None or bound is None:
-        top = top_key = None
+    Without a ``key`` the guesses are read lazily, up to the first
+    answer.  With one they are listed and visited in (bound, canonical
+    index) order, where ``bound(guess)`` must be at most the key of the
+    guess's answer (any value for a None answer); without a ``bound``
+    every bound is -inf, which is canonical order.  The first guess whose
+    (bound, index) is past the best (key, index) so far ends the loop:
+    every guess from there on has a bound above the best key, or equal to
+    it from a later canonical position, so it cannot win.  An answer
+    replaces the best one when its (key, index) is smaller, so the answer
+    is still the first optimum in canonical order."""
+    if key is None:
         for guess in guesses:
             got = solve(guess)
-            if got is None:
-                continue
-            if key is None:
+            if got is not None:
                 return got
-            got_key = key(got)
-            if top is None or got_key < top_key:
-                top, top_key = got, got_key
-        return top
+        return None
     listed = list(guesses)
-    bounds = [bound(guess) for guess in listed] if len(listed) > 1 else [0]
+    bounds = map(bound, listed) if bound is not None else repeat(-math.inf)
     top = top_rank = None
     for rank in sorted(zip(bounds, range(len(listed)))):
         if top is not None and rank > top_rank:

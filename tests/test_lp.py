@@ -6,7 +6,7 @@ import pytest
 from viforge import _kernels, ilp
 from viforge.ilp import IlpInstance, feasible, optimize
 from viforge.instances import generate, parse_text
-from viforge.lp import dual_bound, lp_bound
+from viforge.lp import constraint_rows, exact_bound, lp_bound
 from viforge.oracles import verify_imbalance
 from viforge.solvers import imbalance
 
@@ -23,6 +23,26 @@ def _configuration_ips(seed, count):
     return out
 
 
+def _box(inst, lo, hi):
+    return ([a for a, _ in inst.bounds] if lo is None else lo,
+            [b for _, b in inst.bounds] if hi is None else hi)
+
+
+def _objective_bound(inst, y):
+    """The exact bound that multipliers y (minimisation form) give on
+    inst's objective over its own box, in the objective's own sense."""
+    coeffs, sense = inst.objective
+    sign = -1 if sense == "max" else 1
+    c = [sign * cj for cj in coeffs]
+    return sign * exact_bound(*constraint_rows(inst), c, *_box(inst, None, None), y)
+
+
+def _farkas(inst, y, lo=None, hi=None):
+    """The exact Farkas value of y over the box lo..hi: positive proves
+    that no point of the box meets inst's rows."""
+    return exact_bound(*constraint_rows(inst), [0] * inst.p, *_box(inst, lo, hi), y)
+
+
 def _below(bound, value, sense):
     return bound <= value if sense == "min" else bound >= value
 
@@ -35,12 +55,12 @@ def test_the_exact_bound_is_at_most_the_scan_optimum():
         if bound is None:
             rays += 1
             assert got is None
-            assert dual_bound(inst, y, objective=False) > 0
+            assert _farkas(inst, y) > 0
             continue
         if got is None:
             continue
         assert _below(bound, got[1], inst.objective[1])
-        assert dual_bound(inst, y) == bound
+        assert _objective_bound(inst, y) == bound
         tight += bound == got[1]
     assert tight >= 100 and rays >= 5
 
@@ -56,11 +76,11 @@ def test_a_perturbed_dual_vector_still_gives_a_valid_bound():
         for _ in range(5):
             noisy = [v * rng.uniform(0.5, 1.5) + rng.gauss(0, 1)
                      if rng.random() < 0.7 else -v for v in y]
-            assert _below(dual_bound(inst, noisy), got[1], inst.objective[1])
+            assert _below(_objective_bound(inst, noisy), got[1], inst.objective[1])
             checked += 1
         # wrongly signed, huge and non-finite entries are set to 0
         odd = [rng.choice((1e300, -1e300, math.inf, math.nan, 0.1, -0.1)) for _ in y]
-        assert _below(dual_bound(inst, odd), got[1], inst.objective[1])
+        assert _below(_objective_bound(inst, odd), got[1], inst.objective[1])
     assert checked >= 300
 
 
@@ -81,7 +101,7 @@ def test_infeasible_boxes_return_a_ray_the_exact_check_accepts():
             boxed = IlpInstance(tuple(zip(lo, hi)), inst.constraints, inst.objective)
             if bound is None:
                 rays += 1
-                assert dual_bound(inst, y, lo, hi, objective=False) > 0
+                assert _farkas(inst, y, lo, hi) > 0
                 assert feasible(boxed) is None
             else:
                 got = optimize(boxed)
@@ -90,7 +110,7 @@ def test_infeasible_boxes_return_a_ray_the_exact_check_accepts():
     # a group of size 3 whose two columns may hold at most 1 each
     inst = IlpInstance(((0, 1), (0, 1)), (((1, 1), "==", 3),), ((1, 1), "min"))
     bound, ray = lp_bound(inst)
-    assert bound is None and dual_bound(inst, ray, objective=False) > 0
+    assert bound is None and _farkas(inst, ray) > 0
 
 
 def test_the_bound_is_within_a_small_tolerance_of_linprog():
@@ -123,6 +143,36 @@ def test_the_bound_is_within_a_small_tolerance_of_linprog():
     assert compared >= 100
 
 
+def _small_ips(rng, count):
+    """Seeded IPs of 1-4 variables over boxes of at most 5 values each,
+    small enough to enumerate."""
+    for _ in range(count):
+        p = rng.randint(1, 4)
+        bounds = []
+        for _ in range(p):
+            a = rng.randint(-2, 3)
+            bounds.append((a, a + rng.randint(0, 4)))
+        cons = tuple((tuple(rng.randint(-3, 3) for _ in range(p)),
+                      rng.choice(["<=", ">=", "=="]), rng.randint(-4, 8))
+                     for _ in range(rng.randint(0, 3)))
+        obj = (tuple(rng.randint(-3, 3) for _ in range(p)), rng.choice(["min", "max"]))
+        yield IlpInstance(tuple(bounds), cons, obj)
+
+
+def _matches_the_grid(inst):
+    """True when ``inst`` is infeasible for both ``feasible`` and
+    ``optimize`` and on the grid, or both answer a point meeting its rows
+    and the optimum is the grid's; None stands for an infeasible IP."""
+    want = _grid_solve(inst)
+    point, got = feasible(inst), optimize(inst)
+    if want is None:
+        assert point is None and got is None
+        return None
+    assert _satisfies(point, inst.constraints) and _satisfies(got[0], inst.constraints)
+    assert got[1] == want[1] == sum(c * x for c, x in zip(inst.objective[0], got[0]))
+    return True
+
+
 def test_the_lp_search_answers_as_grid_enumeration_does(monkeypatch):
     # with the scan's budget at 0 or 3 nodes, every IP goes to the LP
     # search, from no incumbent or from the scan's; values match the grid
@@ -130,25 +180,32 @@ def test_the_lp_search_answers_as_grid_enumeration_does(monkeypatch):
     searched = 0
     for budget in (0, 3):
         monkeypatch.setattr(_kernels, "SCAN_NODES", budget)
-        for _ in range(150):
-            p = rng.randint(1, 4)
-            bounds = []
-            for _ in range(p):
-                a = rng.randint(-2, 3)
-                bounds.append((a, a + rng.randint(0, 4)))
-            cons = tuple((tuple(rng.randint(-3, 3) for _ in range(p)),
-                          rng.choice(["<=", ">=", "=="]), rng.randint(-4, 8))
-                         for _ in range(rng.randint(0, 3)))
-            obj = (tuple(rng.randint(-3, 3) for _ in range(p)), rng.choice(["min", "max"]))
-            inst = IlpInstance(tuple(bounds), cons, obj)
-            want = _grid_solve(inst)
-            point, got = feasible(inst), optimize(inst)
-            if want is None:
-                assert point is None and got is None
-                continue
-            assert _satisfies(point, cons) and _satisfies(got[0], cons)
-            assert got[1] == want[1] == sum(c * x for c, x in zip(obj[0], got[0]))
-            searched += 1
+        searched += sum(bool(_matches_the_grid(inst)) for inst in _small_ips(rng, 150))
+    assert searched >= 120
+
+
+def test_a_root_without_an_lp_bound_does_not_end_the_search_early(monkeypatch):
+    # the simplex gives up at each search's first node, as on an iteration
+    # cap, with multipliers the Farkas check rejects; no later node's
+    # bound may then stand in for the root's and stop the search
+    real_search, real_simplex = ilp._lp_search, ilp.simplex
+    at_root = []
+
+    def search(*args):
+        at_root.append(True)
+        return real_search(*args)
+
+    def simplex(a, rels, b, *rest):
+        if at_root:
+            at_root.clear()
+            return None, [0.0] * len(rels), None
+        return real_simplex(a, rels, b, *rest)
+
+    monkeypatch.setattr(ilp, "_lp_search", search)
+    monkeypatch.setattr(ilp, "simplex", simplex)
+    monkeypatch.setattr(_kernels, "SCAN_NODES", 0)
+    searched = sum(bool(_matches_the_grid(inst))
+                   for inst in _small_ips(random.Random("lp-search-no-root"), 300))
     assert searched >= 120
 
 
@@ -206,13 +263,3 @@ def test_the_deep_imbalance_case_answers_40():
     value, ordering = imbalance.imbalance_vi(g)
     assert value == 40
     assert verify_imbalance(g, ordering, value)
-
-
-def test_a_lone_guess_needs_no_lp(monkeypatch):
-    # a separator of at most two vertices has one order: no root bound
-    calls = []
-    monkeypatch.setattr(imbalance, "lp_bound", lambda inst: calls.append(inst))
-    for n in range(2, 9):
-        g = parse_text(generate("random-vi", seed=n, n=n, k=2)).graph
-        imbalance.imbalance_vi(g)
-    assert calls == []
