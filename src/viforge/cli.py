@@ -97,7 +97,7 @@ def _bounded_params(g: Graph, limit=8):
     ViSet that gave vi."""
     report = {"vi": None, "vc": None, "limit": limit, "vis": None}
     if g.n <= 24:
-        for k in range(1, min(limit, max(g.n, 1)) + 1):
+        for k in range(min(g.n, 1), min(limit, g.n) + 1):
             vis = vi_k_set(g, k)
             if vis is not None:
                 report["vi"] = k

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ._kernels import ScanBudgetSpent, _propagate, ilp_scan, with_cutoff
-from .lp import constraint_rows, exact_bound, simplex
+from .lp import checked_simplex, constraint_rows
 
 RELATIONS = ("<=", ">=", "==")
 
@@ -145,16 +145,15 @@ def _lp_search(inst, rows, b, lo, hi, c, best):
     bound.  Otherwise the box is bisected on the fractional variable
     nearest one half, the child nearer the LP value first; a box without
     one (a float miss) is bisected on its widest variable.  The search
-    stops when the incumbent reaches the ceiling of the root node's bound;
-    a root whose LP gives no bound lets the search run to its end.  With
-    c = 0 that is the first point found."""
+    stops when the incumbent reaches the ceiling of the root node's bound
+    (see ``lp.checked_simplex``); a root that propagation narrows to one
+    point gives none.  With c = 0 that is the first point found."""
     coeffs, rels, rhs = constraint_rows(inst)
-    zero = [0] * len(c)
     cost, rows, b, occ = with_cutoff(rows, b, c, lo, hi)
     cut = len(rows) - 1
     if best is not None:
         b[cut] = best[1] - 1
-    # the ceiling of the first node's LP bound, -inf when it gives none
+    # the ceiling of the first node's bound, -inf when it gives none
     root = None
     stack = [(list(lo), list(hi), None)]
     while stack:
@@ -166,14 +165,12 @@ def _lp_search(inst, rows, b, lo, hi, c, best):
             # propagation checked every row at this point, the cutoff too
             point = lo
         else:
-            x, y, warm = simplex(coeffs, rels, rhs, c, lo, hi, warm)
-            if x is None:
-                if exact_bound(coeffs, rels, rhs, zero, lo, hi, y) > 0:
-                    continue
-            else:
-                bound = math.ceil(exact_bound(coeffs, rels, rhs, c, lo, hi, y))
-                if best is not None and bound >= best[1]:
-                    continue
+            x, bound, _, warm = checked_simplex(coeffs, rels, rhs, c, lo, hi, warm)
+            if bound is None:
+                continue
+            bound = math.ceil(bound)
+            if best is not None and bound >= best[1]:
+                continue
             point = None if x is None else _rounded(x, lo, hi, rows, b)
         if root is None:
             root = -math.inf if bound is None else bound

@@ -2,13 +2,16 @@
 safe in exact arithmetic.
 
 ``simplex`` solves min c.x over rows a_i.x (<=, >=, ==) b_i and a finite
-box lo <= x <= hi with a bounded-variable primal simplex in floats: two
-phases, Bland's rule for the entering and the leaving variable.  Given
-the basis of an earlier solve over a wider box, it starts from there
-with the dual simplex instead, which is how a branch-and-bound child
-re-solves its parent's LP in a few pivots.  It returns the row
-multipliers y of its last basis, read off the slack columns' reduced
-costs.
+box lo <= x <= hi with one algorithm, a bounded-variable dual simplex in
+floats with Bland's rule.  A cold solve starts from the slack basis with
+each x_j at the bound its cost prefers (lo_j when c_j >= 0, hi_j when
+c_j < 0), which is dual feasible because every x_j is boxed.  Given the
+basis of an earlier solve over a wider box, it starts from that basis
+instead, with the same rule for the nonbasic variables, which is how a
+branch-and-bound child re-solves its parent's LP in a few pivots.  At an
+optimum it returns the row multipliers y of its basis, read off the
+slack columns' reduced costs; when no variable can enter, the row of
+B^-1 that stays out of its bounds is a candidate Farkas ray.
 
 Floats only propose y; ``exact_bound`` disposes.  For any y whose signs
 suit its rows (y_i <= 0 on a <= row, y_i >= 0 on a >= row, either sign on
@@ -29,20 +32,18 @@ from fractions import Fraction
 
 # multipliers are rounded to multiples of 2**-_SCALE before the exact sum
 _SCALE = 40
-# pivot, reduced-cost and feasibility tolerances of the float simplex
+# pivot, reduced-cost and feasibility tolerance of the float simplex
 _TOL = 1e-9
-_FEAS_TOL = 1e-7
 
 
 class Basis:
     """A simplex basis over rows a_i.x rels_i b_i and a box on x, kept as a
     dense tableau: ``tab`` holds the rows of B^-1 [A I] (structural
     columns, then one slack column per row), ``d`` the reduced costs,
-    ``basis[i]`` the variable basic in row i (-1 - i for an artificial),
-    ``xb`` the basic values, and ``val`` every nonbasic variable's value,
-    which sits at one of its bounds ``low`` / ``up``.  A slack s_i =
-    b_i - a_i.x lies in [0, inf) on a <= row, (-inf, 0] on a >= row and
-    [0, 0] on an == row."""
+    ``basis[i]`` the variable basic in row i, ``xb`` the basic values, and
+    ``val`` every nonbasic variable's value, which sits at one of its
+    bounds ``low`` / ``up``.  A slack s_i = b_i - a_i.x lies in [0, inf)
+    on a <= row, (-inf, 0] on a >= row and [0, 0] on an == row."""
 
     __slots__ = ("tab", "d", "basis", "xb", "val", "low", "up")
 
@@ -54,9 +55,6 @@ class Basis:
         other.low, other.up = list(self.low), list(self.up)
         return other
 
-    def _bounds(self, var, art_up):
-        return (self.low[var], self.up[var]) if var >= 0 else (0.0, art_up)
-
     def _pivot(self, r, j, target):
         """Make j basic in row r; the leaving variable goes to ``target``,
         the entering one moves so that the rows still hold."""
@@ -65,9 +63,7 @@ class Basis:
         for i, row in enumerate(tab):
             if row[j]:
                 xb[i] -= step * row[j]
-        out = self.basis[r]
-        if out >= 0:
-            self.val[out] = target
+        self.val[self.basis[r]] = target
         prow = tab[r]
         piv = prow[j]
         prow = [v / piv for v in prow]
@@ -81,74 +77,26 @@ class Basis:
         self.basis[r] = j
         xb[r] = self.val[j] + step
 
-    def primal(self, art_up):
-        """Primal simplex with Bland's rule until no variable may enter:
-        the least index whose reduced cost improves and whose bounds leave
-        it room enters; the least ratio leaves, ties to the least basic
-        index (artificials first).  An artificial has bounds 0..art_up and
-        never re-enters.  False when the iteration cap or an unbounded ray
-        (impossible over a finite box) is hit first."""
-        tab, d, low, up, val = self.tab, self.d, self.low, self.up, self.val
-        width = len(d)
-        free = [low[q] < up[q] for q in range(width)]
-        for var in self.basis:
-            if var >= 0:
-                free[var] = False
-        for _ in range(50 * (width + len(tab)) + 100):
-            d = self.d
-            j = next((q for q in range(width) if free[q] and (
-                (d[q] < -_TOL and val[q] < up[q]) or (d[q] > _TOL and val[q] > low[q]))), -1)
-            if j < 0:
-                return True
-            step = 1.0 if d[j] < 0 else -1.0
-            t = up[j] - low[j]
-            leave, leave_var, target = -1, math.inf, 0.0
-            for i, row in enumerate(tab):
-                alpha = row[j] * step
-                if -_TOL <= alpha <= _TOL:
-                    continue
-                var = self.basis[i]
-                lb, ub = self._bounds(var, art_up)
-                end = lb if alpha > 0 else ub
-                if end in (math.inf, -math.inf):
-                    continue
-                ratio = max((self.xb[i] - end) / alpha, 0.0)
-                if ratio < t or (ratio == t and leave >= 0 and var < leave_var):
-                    t, leave, leave_var, target = ratio, i, var, end
-            if t == math.inf:
-                return False
-            if leave < 0:
-                for i, row in enumerate(tab):
-                    if row[j]:
-                        self.xb[i] -= step * t * row[j]
-                val[j] = up[j] if step > 0 else low[j]
-                continue
-            out = self.basis[leave]
-            if out >= 0:
-                free[out] = low[out] < up[out]
-            free[j] = False
-            self._pivot(leave, j, target)
-        return False
-
     def dual(self):
         """Dual simplex from a dual-feasible basis, Bland's rule: the
         least-index basic variable out of its bounds leaves to the bound it
         broke; the least ratio |d_q / alpha_q| among the nonbasic variables
-        that can move it there enters, ties to the least index.  True at
-        an optimum; False when no variable can enter (the box is
-        infeasible) or at the iteration cap."""
+        that can move it there enters, ties to the least index.  None at
+        an optimum.  When no variable can enter, the leaving row r proves
+        the box infeasible, and the result is the candidate Farkas ray y,
+        row r of B^-1 (the slack columns of tableau row r), negated when
+        its basic variable must rise; at the iteration cap it is 0."""
         tab, low, up, val = self.tab, self.low, self.up, self.val
         width = len(self.d)
         for _ in range(50 * (width + len(tab)) + 100):
             basic = set(self.basis)
             r, r_var, target = -1, math.inf, 0.0
             for i, var in enumerate(self.basis):
-                lb, ub = self._bounds(var, 0.0)
                 x = self.xb[i]
-                if (x < lb - _TOL or x > ub + _TOL) and var < r_var:
-                    r, r_var, target = i, var, lb if x < lb else ub
+                if (x < low[var] - _TOL or x > up[var] + _TOL) and var < r_var:
+                    r, r_var, target = i, var, low[var] if x < low[var] else up[var]
             if r < 0:
-                return True
+                return None
             # the leaving variable rises to lb when target is lb, so a
             # nonbasic variable helps if moving it off its bound raises it
             rises = target > self.xb[r]
@@ -164,14 +112,14 @@ class Basis:
                     if ratio < best:
                         j, best = q, ratio
             if j < 0:
-                return False
+                return [-v if rises else v for v in row[width - len(tab):]]
             self._pivot(r, j, target)
-        return False
+        return [0.0] * len(tab)
 
     def point(self, n):
         x = self.val[:n]
         for i, var in enumerate(self.basis):
-            if 0 <= var < n:
+            if var < n:
                 x[var] = self.xb[i]
         return x
 
@@ -180,44 +128,20 @@ class Basis:
         return [-dq for dq in self.d[n:]]
 
 
-def _fresh(a, rels, b, c, lo, hi):
-    """Phase one from the slack basis, artificials where a slack cannot
-    carry its row with x at lo; then phase two.  (x, y, basis), or (None,
-    y, None) with y the phase-one multipliers when the rows stay unmet."""
+def _slack_basis(a, rels, b, c, lo, hi):
+    """The basis of the slack variables, with every x_j nonbasic at lo_j."""
     m, n = len(a), len(lo)
     t = Basis()
     t.low = [float(v) for v in lo] + [-math.inf if r == ">=" else 0.0 for r in rels]
     t.up = [float(v) for v in hi] + [math.inf if r == "<=" else 0.0 for r in rels]
     t.val = t.low[:n] + [0.0] * m
-    t.tab, t.basis, t.xb = [], [], []
-    for i, (coeffs, rhs) in enumerate(zip(a, b)):
-        row = [float(v) for v in coeffs] + [0.0] * m
-        row[n + i] = 1.0
-        r = float(rhs - sum(aij * x for aij, x in zip(coeffs, lo) if aij))
-        if t.low[n + i] <= r <= t.up[n + i]:
-            t.basis.append(n + i)
-        else:
-            # an artificial of the sign of r carries the row; dividing the
-            # row by that sign makes its column the unit one
-            if r < 0:
-                row = [-v for v in row]
-            t.basis.append(-1 - i)
-        t.tab.append(row)
-        t.xb.append(abs(r) if t.basis[-1] < 0 else r)
-    t.d = [0.0] * (n + m)
-    for i, var in enumerate(t.basis):
-        if var < 0:
-            t.d = [u - v for u, v in zip(t.d, t.tab[i])]
-    finished = t.primal(math.inf)
-    if not finished or sum(x for x, var in zip(t.xb, t.basis) if var < 0) > _FEAS_TOL:
-        return None, t.multipliers(n), None
+    t.tab = [[float(v) for v in coeffs] + [float(i == k) for k in range(m)]
+             for i, coeffs in enumerate(a)]
+    t.basis = list(range(n, n + m))
+    t.xb = [float(rhs - sum(aij * x for aij, x in zip(coeffs, lo) if aij))
+            for coeffs, rhs in zip(a, b)]
     t.d = [float(cj) for cj in c] + [0.0] * m
-    for i, var in enumerate(t.basis):
-        if 0 <= var < n and c[var]:
-            f = float(c[var])
-            t.d = [u - f * v for u, v in zip(t.d, t.tab[i])]
-    t.primal(0.0)
-    return t.point(n), t.multipliers(n), t
+    return t
 
 
 def simplex(a, rels, b, c, lo, hi, warm=None):
@@ -226,31 +150,30 @@ def simplex(a, rels, b, c, lo, hi, warm=None):
     Returns (x, y, basis): x a final vertex, y its row multipliers and
     basis the final ``Basis``; or (None, y, None) when the rows stay unmet,
     y then a candidate Farkas ray.  Either y is only a proposal for
-    ``exact_bound``.  Given ``warm``, a basis from an earlier call over the
-    same rows and costs, the call moves its nonbasic variables onto the
-    new box, each to the bound its reduced cost prefers, and runs the dual
-    simplex from there; ``warm`` itself is left as it was.  Should that
-    stop short of an optimum, the call starts afresh.
+    ``exact_bound``.  The dual simplex starts from ``warm``, a basis from
+    an earlier call over the same rows and costs, or else from the slack
+    basis; either way each nonbasic x_j first moves onto the new box, to
+    the bound its reduced cost prefers.  ``warm`` itself is left as it
+    was.
     """
     n = len(lo)
-    if warm is not None:
-        t = warm.copy()
-        basic = set(t.basis)
-        for q in range(n):
-            new_lo, new_hi = float(lo[q]), float(hi[q])
-            t.low[q], t.up[q] = new_lo, new_hi
-            if q in basic:
-                continue
-            moved = new_hi if t.d[q] < 0 else new_lo
-            delta = moved - t.val[q]
-            if delta:
-                t.val[q] = moved
-                for i, row in enumerate(t.tab):
-                    if row[q]:
-                        t.xb[i] -= delta * row[q]
-        if t.dual() and t.primal(0.0):
-            return t.point(n), t.multipliers(n), t
-    return _fresh(a, rels, b, c, lo, hi)
+    t = _slack_basis(a, rels, b, c, lo, hi) if warm is None else warm.copy()
+    basic = set(t.basis)
+    for q in range(n):
+        t.low[q], t.up[q] = float(lo[q]), float(hi[q])
+        if q in basic:
+            continue
+        moved = t.up[q] if t.d[q] < 0 else t.low[q]
+        delta = moved - t.val[q]
+        if delta:
+            t.val[q] = moved
+            for i, row in enumerate(t.tab):
+                if row[q]:
+                    t.xb[i] -= delta * row[q]
+    ray = t.dual()
+    if ray is not None:
+        return None, ray, None
+    return t.point(n), t.multipliers(n), t
 
 
 def exact_bound(a, rels, b, c, lo, hi, y):
@@ -294,24 +217,32 @@ def _box(inst, lo, hi):
             list(hi) if hi is not None else [h for _, h in inst.bounds])
 
 
+def checked_simplex(a, rels, b, c, lo, hi, warm=None):
+    """``simplex`` with its multipliers checked by ``exact_bound``: (x,
+    bound, y, basis), bound the Fraction exact_bound of y on min c.x over
+    the box lo..hi.  When the simplex finds the box infeasible and y
+    passes the exact Farkas check, bound is None: no point of the box
+    meets the rows.  A ray that fails the check falls back to y = 0, whose
+    bound is the least c.x over the box; x and basis are then None."""
+    x, y, basis = simplex(a, rels, b, c, lo, hi, warm)
+    if x is None:
+        if exact_bound(a, rels, b, [0] * len(c), lo, hi, y) > 0:
+            return None, None, y, None
+        y = [0.0] * len(rels)
+    return x, exact_bound(a, rels, b, c, lo, hi, y), y, basis
+
+
 def lp_bound(inst, lo=None, hi=None):
     """(bound, y) for ``inst`` over the box lo..hi (default: its own).
 
-    ``bound`` is the ``exact_bound`` of the simplex's multipliers y, a
-    Fraction at most the min (at least the max) of the objective over
-    the integer points, and of the LP, that meet the constraints; an
-    instance without an objective reads as c = 0.  When the simplex finds
-    the box infeasible and y passes the exact Farkas check, the answer is
-    (None, y).  A ray that fails the check falls back to y = 0, whose
-    bound is the objective's extreme over the box."""
-    coeffs, rels, rhs = constraint_rows(inst)
+    ``bound`` is ``checked_simplex``'s, a Fraction at most the min (at
+    least the max) of the objective over the integer points, and of the
+    LP, that meet the constraints; an instance without an objective reads
+    as c = 0.  When the box is proved infeasible, the answer is (None, y)
+    with y the Farkas ray."""
     c, sign = _min_objective(inst)
     lo, hi = _box(inst, lo, hi)
     if any(l > h for l, h in zip(lo, hi)):
         raise ValueError("empty box")
-    x, y, _ = simplex(coeffs, rels, rhs, c, lo, hi)
-    if x is None:
-        if exact_bound(coeffs, rels, rhs, [0] * inst.p, lo, hi, y) > 0:
-            return None, y
-        y = [0.0] * len(rels)
-    return sign * exact_bound(coeffs, rels, rhs, c, lo, hi, y), y
+    _, bound, y, _ = checked_simplex(*constraint_rows(inst), c, lo, hi)
+    return (None if bound is None else sign * bound), y

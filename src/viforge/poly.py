@@ -14,7 +14,7 @@ from typing import Optional
 from .flow import max_flow
 from .graphs import Graph, edge_key, components, is_connected_subset
 from .ilp import IlpInstance, feasible
-from .integrity import vi_k_set, vertex_cover_min
+from .integrity import cover_at_most, vi_k_set, vertex_cover_min
 
 
 class PreconditionError(Exception):
@@ -320,7 +320,7 @@ def binary_mmoo_vc2(g: Graph, r: int):
         raise ValueError("orientation needs edge weights")
     if r < 0:
         raise ValueError("outdegree bound must be non-negative")
-    if len(vertex_cover_min(g)) > 2:
+    if cover_at_most(g.edges, 2) is None:
         raise PreconditionError("vertex cover exceeds 2")
     if any(w > r for w in g.weights.values()):
         return None

@@ -401,6 +401,16 @@ class TestCliGenParams:
         assert sum(t["count"] for t in rec["types"]) == 2
         assert rec["separator"] is not None
 
+    def test_the_empty_graph_has_vi_0_everywhere(self, tmp_path, capsys):
+        path = _write(tmp_path, "empty.txt", "p 0 0\n")
+        assert vertex_integrity(parse(path).graph)[0] == 0
+        assert run(["params", path]) == EXIT_YES
+        assert json.loads(capsys.readouterr().out)["vi"] == 0
+        for command in ("solve", "oracle"):
+            assert run([command, "imbalance", path, "--json"]) == EXIT_YES
+            rec = json.loads(capsys.readouterr().out)
+            assert rec["value"] == rec["parameters"]["vi"] == 0
+
     def test_params_searches_each_k_once(self, tmp_path, capsys, monkeypatch):
         assert run(["gen", "random-vi", "--seed", "4", "--n", "14", "--k", "4"]) == EXIT_YES
         path = _write(tmp_path, "g.txt", capsys.readouterr().out)

@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from viforge import _kernels, ilp
+from viforge import _kernels, ilp, lp
 from viforge.ilp import IlpInstance, feasible, optimize
 from viforge.instances import generate, parse_text
-from viforge.lp import constraint_rows, exact_bound, lp_bound
+from viforge.lp import checked_simplex, constraint_rows, exact_bound, lp_bound
 from viforge.oracles import verify_imbalance
 from viforge.solvers import imbalance
 
@@ -113,6 +113,52 @@ def test_infeasible_boxes_return_a_ray_the_exact_check_accepts():
     assert bound is None and _farkas(inst, ray) > 0
 
 
+def test_a_ray_that_fails_the_farkas_check_falls_back_to_the_box_bound(monkeypatch):
+    # a simplex that reads every box as infeasible, with rays the exact
+    # check rejects: lp_bound then takes y = 0, whose bound is the
+    # objective's extreme over the box
+    rng = random.Random("lp-fallback")
+    rays = [lambda m: [0.0] * m, lambda m: [rng.gauss(0, 1) for _ in range(m)]]
+    monkeypatch.setattr(lp, "simplex", lambda a, rels, b, c, lo, hi, warm=None:
+                        (None, rng.choice(rays)(len(rels)), None))
+    for inst in _configuration_ips("lp-fallback-ips", 60):
+        bound, y = lp_bound(inst)
+        coeffs, sense = inst.objective
+        pick = min if sense == "min" else max
+        assert bound is not None and y == [0.0] * len(inst.constraints)
+        assert bound == sum(pick(cj * a, cj * b) for cj, (a, b) in zip(coeffs, inst.bounds))
+
+
+def test_a_warm_solve_agrees_with_a_cold_one_on_sub_boxes():
+    # a child's box re-solved from its parent's basis and from the slack
+    # basis: the same infeasibility verdict and, since degenerate LPs can
+    # end at different optimal bases whose multipliers are rounded to
+    # 2**-40, exact bounds within 1e-9 of each other and equal ceilings
+    rng = random.Random("lp-warm")
+    bounded = empty = 0
+    for inst in _configuration_ips("lp-warm-ips", 150):
+        rows = constraint_rows(inst)
+        c = [cj if inst.objective[1] == "min" else -cj for cj in inst.objective[0]]
+        _, _, parent = lp.simplex(*rows, c, *_box(inst, None, None))
+        if parent is None:
+            continue
+        for _ in range(4):
+            lo, hi = [], []
+            for a, b in inst.bounds:
+                cut, side = rng.randint(a, b), rng.randrange(4)
+                lo.append(cut if side == 0 else a)
+                hi.append(cut if side == 1 else b)
+            _, warm, _, _ = checked_simplex(*rows, c, lo, hi, parent)
+            _, cold, _, _ = checked_simplex(*rows, c, lo, hi)
+            assert (warm is None) == (cold is None)
+            if cold is None:
+                empty += 1
+                continue
+            assert abs(warm - cold) <= 1e-9 and math.ceil(warm) == math.ceil(cold)
+            bounded += 1
+    assert bounded >= 100 and empty >= 100
+
+
 def test_the_bound_is_within_a_small_tolerance_of_linprog():
     pytest.importorskip("scipy")
     import numpy as np
@@ -186,9 +232,10 @@ def test_the_lp_search_answers_as_grid_enumeration_does(monkeypatch):
 
 def test_a_root_without_an_lp_bound_does_not_end_the_search_early(monkeypatch):
     # the simplex gives up at each search's first node, as on an iteration
-    # cap, with multipliers the Farkas check rejects; no later node's
-    # bound may then stand in for the root's and stop the search
-    real_search, real_simplex = ilp._lp_search, ilp.simplex
+    # cap, with a ray the Farkas check rejects, so the root's bound is the
+    # box bound; no later node's bound may stand in for it and stop the
+    # search
+    real_search, real_simplex = ilp._lp_search, lp.simplex
     at_root = []
 
     def search(*args):
@@ -202,7 +249,7 @@ def test_a_root_without_an_lp_bound_does_not_end_the_search_early(monkeypatch):
         return real_simplex(a, rels, b, *rest)
 
     monkeypatch.setattr(ilp, "_lp_search", search)
-    monkeypatch.setattr(ilp, "simplex", simplex)
+    monkeypatch.setattr(lp, "simplex", simplex)
     monkeypatch.setattr(_kernels, "SCAN_NODES", 0)
     searched = sum(bool(_matches_the_grid(inst))
                    for inst in _small_ips(random.Random("lp-search-no-root"), 300))

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from viforge import integrity, poly
 from viforge.graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph
 from viforge.oracles import (
     oracle_mmoo,
@@ -151,6 +152,25 @@ class TestBinaryOrientation:
                     weights={(i, j + 3): 1 for i in range(3) for j in range(3)})
         with pytest.raises(PreconditionError):
             binary_mmoo_vc2(k33, 9)
+
+    def test_the_cover_precondition_asks_for_no_cover_above_2(self, monkeypatch):
+        # a minimum vertex cover costs time exponential in its size; the
+        # precondition only has to know whether one of size 2 exists
+        budgets = []
+        real = integrity.cover_at_most
+
+        def bounded(edges, k):
+            budgets.append(k)
+            assert k <= 2, f"asked for a cover of up to {k} vertices"
+            return real(edges, k)
+
+        monkeypatch.setattr(integrity, "cover_at_most", bounded)
+        monkeypatch.setattr(poly, "cover_at_most", bounded, raising=False)
+        rng = random.Random("vc2-precondition")
+        edges = {(u, v) for u in range(36) for v in range(u + 1, 36) if rng.random() < 0.25}
+        with pytest.raises(PreconditionError):
+            binary_mmoo_vc2(Graph(36, edges, weights={e: 1 for e in edges}), 9)
+        assert budgets
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
