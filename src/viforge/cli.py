@@ -499,6 +499,9 @@ def _run_gen(args):
 # ------------------------------------------------------------------ params
 
 def _run_params(args):
+    if args.max_k < 0:
+        print("error: --max-k must be at least 0", file=sys.stderr)
+        return EXIT_USAGE
     try:
         inst = parse(args.file)
     except (ParseError, OSError) as exc:

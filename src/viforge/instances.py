@@ -11,7 +11,7 @@ instance independently of comments or formatting.
 import hashlib
 import inspect
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .graphs import Graph, edge_key

@@ -19,33 +19,43 @@ members of each type only.
 Work per type is shared across guesses.  One solve puts each labelled
 pattern in canonical form once (a ``classify_detailed`` memo).  A type's
 decompositions are enumerated once per process, on the first component
-of that type seen, and kept with their witnesses in canonical positions
-(anchors, then the representative's canonical order), so any component
-of the type reads its pieces off its own canonical order.  A guess whose
-piece total cannot beat the best answer so far, even if every component
-took its heaviest decomposition, skips its piece IP.
+of that type seen, and kept with their witnesses: each piece's code and
+canonical order, in canonical positions (anchors, then the
+representative's canonical order).  Any component of the type reads its
+pieces and their canonical orders off its own canonical order, and
+zipping the orders of two code-equal pieces matches them, so
+reconstruction computes no canonical form.  A guess whose piece total
+cannot beat the best answer so far, even if every component took its
+heaviest decomposition, skips its piece IP.
+
+The piece IP is a configuration IP (``configuration.configuration_ip``)
+whose groups are the two sides' type counts and whose extra rows make
+each side use every piece code equally often.
 """
 
 from collections import Counter
 from itertools import combinations, permutations
 
 from ..graphs import components
-from ..ilp import IlpInstance, optimize
+from ..ilp import optimize
 from ..integrity import vertex_integrity
-from ..typesys import classify_detailed, enumerate_decompositions, g_type_of, piece_form
-from .configuration import best
+from ..typesys import classify_detailed, enumerate_decompositions, piece_form
+from ..typesys import g_type_of  # noqa: F401  (perfbench wraps this binding)
+from .configuration import best, configuration_ip
 
 # (type code, induced flag) -> (largest weight, {piece-code multiset:
 # (weight, Counter, witness)}).  A weight is the piece edge total for
 # common subgraphs and the piece vertex total for the induced variant.
-# A witness lists (piece vertices, kept inner edges, kept boundary
-# edges) in canonical positions: position i is the i-th vertex of the
-# anchors followed by a component's canonical order, which maps it into
-# any component of the type.  It outlives a solve on purpose: the
-# benchmark's 144 crosscheck mcs/mcis solves, run in one process on a
-# 2-CPU machine with Python 3.11.7, took a median 0.12 s with it and
-# 0.17 s when it was cleared before each solve (9 fresh processes
-# each).  It grows with the number of distinct types seen.
+# A witness lists (piece code, piece vertices in the piece's canonical
+# order) for each piece, the vertices as canonical positions: position i
+# is the i-th vertex of the anchors followed by a component's canonical
+# order, which maps it into any component of the type.  Reconstruction
+# reads both off the cache and computes no canonical form.  The cache
+# outlives a solve on purpose: the benchmark's 144 crosscheck mcs/mcis
+# solves, run in one process on a 2-CPU machine with Python 3.11.7, took
+# a median 0.12 s with it and 0.17 s when it was cleared before each
+# solve (9 fresh processes each).  It grows with the number of distinct
+# types seen.
 _DECOMP_CACHE = {}
 
 
@@ -60,8 +70,10 @@ def _catalogue(t, h, rho, induced_flag):
     for t_key, pieces in raw.items():
         edges = sum(len(f) + len(b) for (_, f, b) in pieces)
         verts = sum(len(vs) for (vs, _, _) in pieces)
-        witness = [([at[v] for v in vs], [(at[u], at[v]) for (u, v) in f],
-                    [(at[x], at[r]) for (x, r) in b]) for (vs, f, b) in pieces]
+        witness = []
+        for (vs, f, b) in pieces:
+            pcode, order = piece_form(rho, vs, f | b)
+            witness.append((pcode, [at[v] for v in order]))
         decomps[t_key] = (verts if induced_flag else edges, Counter(t_key), witness)
     _DECOMP_CACHE[(t.code, induced_flag)] = (max(w for w, _, _ in decomps.values()), decomps)
 
@@ -131,10 +143,10 @@ def _side_keys(g, sep, z_max, ordered, induced_flag, two_k, memo):
 def _prune_columns(cols1, cols2):
     """Drop decompositions using piece codes absent from the other side."""
     while True:
-        avail1 = set().union(*(set(gam) for (_, _, _, _, gam) in cols1)) if cols1 else set()
-        avail2 = set().union(*(set(gam) for (_, _, _, _, gam) in cols2)) if cols2 else set()
-        n1 = [c for c in cols1 if set(c[4]) <= avail2]
-        n2 = [c for c in cols2 if set(c[4]) <= avail1]
+        avail1, avail2 = (set().union(*(gam for _, (_, _, gam, _) in cols))
+                          for cols in (cols1, cols2))
+        n1 = [c for c in cols1 if c[1][2].keys() <= avail2]
+        n2 = [c for c in cols2 if c[1][2].keys() <= avail1]
         if len(n1) == len(cols1) and len(n2) == len(cols2):
             return n1, n2
         cols1, cols2 = n1, n2
@@ -143,97 +155,66 @@ def _prune_columns(cols1, cols2):
 def _piece_ilp(codes1, codes2, induced_flag):
     """Match piece decompositions across the sides.
 
-    Returns (optimal total, side-1 columns, side-2 columns, point) where
-    a column is (type code, decomposition key, count bound).  Piece
-    totals are edge counts for common subgraphs and vertex counts for
-    the induced variant.
+    A group is one side's type code with ``range(count)`` for its count
+    of components, side 1's groups first, and a column is (group index,
+    (type code, weight, piece-code Counter, witness)), one per surviving
+    decomposition of the group's type.
+    Returns (optimal total, side-1 columns, side-2 columns, point).
+    Piece totals are edge counts for common subgraphs and vertex counts
+    for the induced variant.
     """
-    cols = ([], [])
-    for side, codes in enumerate((codes1, codes2)):
+    groups, sides = [], ([], [])
+    for cols, codes in zip(sides, (codes1, codes2)):
         for code, cnt in sorted(Counter(codes).items()):
-            for t_key, (weight, gam, _) in sorted(_DECOMP_CACHE[(code, induced_flag)][1].items()):
-                cols[side].append((code, t_key, cnt, weight, gam))
-    cols1, cols2 = _prune_columns(cols[0], cols[1])
+            decomps = _DECOMP_CACHE[(code, induced_flag)][1]
+            cols += [(len(groups), (code, *decomps[t_key])) for t_key in sorted(decomps)]
+            groups.append((code, range(cnt)))
+    cols1, cols2 = _prune_columns(*sides)
 
-    p = len(cols1) + len(cols2)
-    bounds = [(0, c[2]) for c in cols1] + [(0, c[2]) for c in cols2]
-    constraints = []
-    for side, colset, codes in ((0, cols1, codes1), (1, cols2, codes2)):
-        offset = 0 if side == 0 else len(cols1)
-        for code, cnt in sorted(Counter(codes).items()):
-            row = [0] * p
-            hit = False
-            for i, c in enumerate(colset):
-                if c[0] == code:
-                    row[offset + i] = 1
-                    hit = True
-            if not hit:
-                # every decomposition of this type was pruned away, which
-                # cannot happen: the empty decomposition survives pruning
-                raise RuntimeError("type lost all decompositions")
-            constraints.append((tuple(row), "==", cnt))
-    gammas = sorted(set().union(*(set(c[4]) for c in cols1)) if cols1 else set())
-    for gamma in gammas:
-        row = [c[4].get(gamma, 0) for c in cols1]
-        row += [-c[4].get(gamma, 0) for c in cols2]
-        constraints.append((tuple(row), "==", 0))
-    obj = [c[3] for c in cols1] + [0] * len(cols2)
-
-    inst = IlpInstance(tuple(bounds), tuple(constraints), (tuple(obj), "max"))
-    got = optimize(inst)
+    signed = ([(gam, 1) for _, (_, _, gam, _) in cols1]
+              + [(gam, -1) for _, (_, _, gam, _) in cols2])
+    gammas = sorted(set().union(*(gam for _, (_, _, gam, _) in cols1)))
+    rows = [(tuple(sign * gam[gamma] for gam, sign in signed), "==", 0) for gamma in gammas]
+    obj = tuple(weight for _, (_, weight, _, _) in cols1) + (0,) * len(cols2)
+    got = optimize(configuration_ip(groups, cols1 + cols2, rows, (obj, "max")))
     if got is None:
         raise RuntimeError("piece matching must always admit the empty choice")
     point, value = got
     return value, cols1, cols2, point
 
 
-def _match_piece(rho1, piece1, rho2, piece2):
-    """Concrete map of one piece onto a code-equal piece of the other side:
-    kept edges go onto kept edges, and each vertex goes onto one with the
-    same links to the anchors (by anchor position).  It pairs the two
-    pieces' canonical orders position by position."""
-    (code1, order1), (code2, order2) = (piece_form(rho, vs, set(f) | set(b))
-                                        for rho, (vs, f, b) in ((rho1, piece1), (rho2, piece2)))
-    if code1 != code2:
-        raise RuntimeError("code-equal pieces must admit an anchored match")
-    return dict(zip(order1, order2))
-
-
-def _assigned_pieces(g, sep, rho, cols, point, offset, induced_flag, memo):
-    """Concrete pieces realising the chosen decomposition counts, each
-    read off the cached witness through its component's canonical
-    order."""
+def _assigned_pieces(g, sep, rho, cols, counts, memo):
+    """(piece code, piece vertices in canonical order) of every piece
+    realising the chosen decomposition counts, each read off the cached
+    witness through its component's canonical order."""
     rho = list(rho)
     comps = components(g, set(sep).union(rho))
     groups = {t.code: (t, list(range(len(cs))))
               for t, cs in classify_detailed(g, rho, memo=memo, comps=comps)}
     pieces = []
-    for i, (code, t_key, _, _, _) in enumerate(cols):
+    for (_, (code, _, _, witness)), count in zip(cols, counts):
         t, left = groups[code]
-        witness = _DECOMP_CACHE[(code, induced_flag)][1][t_key][2]
-        for _ in range(point[offset + i]):
+        for _ in range(count):
             order = rho + list(t.orders[left.pop()])
-            for (vs, f, b) in witness:
-                vs = [order[p] for p in vs]
-                f = {(order[p], order[q]) for (p, q) in f}
-                b = {(order[p], order[q]) for (p, q) in b}
-                pcode = g_type_of(g, rho, vs, b, f).code
-                pieces.append((pcode, (vs, f, b)))
+            pieces += [(pcode, [order[p] for p in at]) for pcode, at in witness]
     return pieces
 
 
-def _reconstruct(g1, g2, s1, s2, rho1, rho2, piece_answer, induced_flag, memo):
+def _reconstruct(g1, g2, s1, s2, rho1, rho2, piece_answer, memo):
+    """The anchor bijection plus, for code-equal pieces paired in code
+    order, the zip of their canonical orders: it carries kept edges onto
+    kept edges and each vertex onto one with the same anchor links."""
     _, cols1, cols2, point = piece_answer
-    pieces1 = _assigned_pieces(g1, s1, rho1, cols1, point, 0, induced_flag, memo)
-    pieces2 = _assigned_pieces(g2, s2, rho2, cols2, point, len(cols1), induced_flag, memo)
+    pieces1 = _assigned_pieces(g1, s1, rho1, cols1, point[:len(cols1)], memo)
+    pieces2 = _assigned_pieces(g2, s2, rho2, cols2, point[len(cols1):], memo)
     pieces1.sort(key=lambda pc: pc[0])
     pieces2.sort(key=lambda pc: pc[0])
 
     mapping = dict(zip(rho1, rho2))
-    for (c1, p1), (c2, p2) in zip(pieces1, pieces2):
+    for (c1, order1), (c2, order2) in zip(pieces1, pieces2):
         if c1 != c2:
             raise RuntimeError("piece code mismatch in matched solution")
-        mapping.update(_match_piece(rho1, p1, rho2, p2))
+        mapping.update(zip(order1, order2))
     return mapping
 
 
@@ -288,7 +269,7 @@ def _common_solve(g1, g2, induced_flag):
 
     value, wit1, wit2, piece = best(guesses(), solve, key=lambda got: -got[0],
                                     bound=lambda guess: -guess[4])
-    return value, _reconstruct(g1, g2, s1, s2, wit1, wit2, piece, induced_flag, memo)
+    return value, _reconstruct(g1, g2, s1, s2, wit1, wit2, piece, memo)
 
 
 def mcs_vi(g1, g2):

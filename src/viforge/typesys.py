@@ -18,7 +18,12 @@ Piece types play the same role for pairs (A, B): a connected fragment A
 outside the anchor set R together with a kept subset B of its edges into R.
 Their codes carry a (|R|, |A|) header so pieces of different shape never
 collide, and anchor-anchor cells are excluded (a piece owns only its own
-edges).
+edges).  ``enumerate_decompositions`` builds its pieces itself, so it
+takes each piece's code straight from ``piece_form``.
+
+``type_of``, ``classify``, ``g_type_of`` and ``PieceType`` validate their
+input and are public helpers that no solver calls, kept on purpose for
+tests, benchmarks and library callers.
 """
 
 from array import array
@@ -315,20 +320,19 @@ def enumerate_decompositions(g: Graph, r_ordered, comp, induced_mode=False) -> d
     out = {}
 
     def piece_options(piece_vs, piece_f):
-        """Deduped (code -> (b_choice, piece type)) over boundary subsets."""
+        """(b_choice, code) for each distinct piece code over boundary subsets."""
         bedges = sorted(set().union(*(boundary_all.get(v, set()) for v in piece_vs)))
         if len(bedges) > 16:
             raise ValueError("piece boundary too large to enumerate")
         opts = {}
         for bsub in _subsets(bedges):
-            pt = g_type_of(g, r_list, piece_vs, bsub, piece_f)
-            if pt.code not in opts:
-                opts[pt.code] = (set(bsub), pt)
-        return opts
+            code, _ = piece_form(r_list, piece_vs, piece_f | set(bsub))
+            opts.setdefault(code, set(bsub))
+        return [(bsub, code) for code, bsub in opts.items()]
 
     def record(pieces):
-        # pieces: list of (vs, f, b, PieceType)
-        key = tuple(sorted(pt.code for (_, _, _, pt) in pieces))
+        # pieces: list of (vs, f, b, piece code)
+        key = tuple(sorted(code for (_, _, _, code) in pieces))
         if key not in out:
             out[key] = [(list(vs), set(f), set(b)) for (vs, f, b, _) in pieces]
 
@@ -350,9 +354,9 @@ def enumerate_decompositions(g: Graph, r_ordered, comp, induced_mode=False) -> d
                 pf = {e for e in fset if e[0] in vset}
                 if induced_mode:
                     bedges = sorted(set().union(*(boundary_all.get(v, set()) for v in vs)))
-                    options = [(set(bedges), g_type_of(g, r_list, vs, bedges, pf))]
+                    options = [(set(bedges), piece_form(r_list, vs, pf | set(bedges))[0])]
                 else:
-                    options = list(piece_options(vs, pf).values())
+                    options = piece_options(vs, pf)
                 pieces.append((vs, pf, options))
 
             # cross product of per-piece boundary choices
@@ -361,7 +365,7 @@ def enumerate_decompositions(g: Graph, r_ordered, comp, induced_mode=False) -> d
                     record(acc)
                     return
                 vs, pf, options = pieces[i]
-                for (bsub, pt) in options:
-                    expand(i + 1, acc + [(vs, pf, bsub, pt)])
+                for (bsub, code) in options:
+                    expand(i + 1, acc + [(vs, pf, bsub, code)])
             expand(0, [])
     return out

@@ -13,7 +13,7 @@ from viforge.integrity import vertex_integrity
 from viforge.oracles import oracle_mcis, oracle_mcs, verify_mcis, verify_mcs
 from viforge.solvers import common_subgraph
 from viforge.solvers.common_subgraph import mcis_vi, mcs_vi
-from viforge.typesys import classify_detailed
+from viforge.typesys import classify_detailed, enumerate_decompositions, piece_form
 
 from conftest import BIG_BUDGET, rand_graph, rand_vi_graph
 
@@ -96,45 +96,6 @@ def test_mcs_on_low_integrity_pairs(seed):
     assert verify_mcs(g1, g2, mapping, val)
 
 
-def _reference_match_piece(rho1, piece1, rho2, piece2):
-    """Piece matching as it ran before it used an anchored search: the
-    vertices of piece 1 in id order, each onto the smallest unused vertex
-    of piece 2 with the same anchor links, kept degree and kept adjacency
-    to the vertices already placed; the reference for ``_match_piece``."""
-    def profile(rho, vs, f, b):
-        adj = {v: set() for v in vs}
-        for (u, v) in f:
-            adj[u].add(v)
-            adj[v].add(u)
-        link = {v: 0 for v in vs}
-        for (v, r) in b:
-            link[v] |= 1 << rho.index(r)
-        return adj, link
-
-    adj1, link1 = profile(rho1, *piece1)
-    adj2, link2 = profile(rho2, *piece2)
-    order = sorted(adj1)
-    cand = sorted(adj2)
-    mapping = {}
-
-    def extend(i):
-        if i == len(order):
-            return True
-        u = order[i]
-        for x in cand:
-            if x in mapping.values() or link1[u] != link2[x] or len(adj1[u]) != len(adj2[x]):
-                continue
-            if any((w in adj1[u]) != (img in adj2[x]) for w, img in mapping.items()):
-                continue
-            mapping[u] = x
-            if extend(i + 1):
-                return True
-            del mapping[u]
-        return False
-
-    return dict(mapping) if extend(0) else None
-
-
 def _blocks(rng, count, most, hubs):
     """Disjoint random connected blocks of 1..``most`` vertices, plus
     ``hubs`` vertices joined to block vertices at random, labelled at
@@ -154,61 +115,81 @@ def _blocks(rng, count, most, hubs):
     return Graph(len(label), edges)
 
 
-def _check_piece_map(got, rho1, piece1, rho2, piece2):
-    """``got`` maps piece 1 one-to-one onto piece 2, kept edges onto kept
-    edges (so non-edges onto non-edges), and each anchor link onto the
-    link to the anchor in the same position."""
-    (vs1, f1, b1), (vs2, f2, b2) = piece1, piece2
-    assert sorted(got) == sorted(vs1) and sorted(got.values()) == sorted(vs2)
-    assert {frozenset((got[u], got[v])) for (u, v) in f1} == {frozenset(e) for e in f2}
-    assert {(got[v], rho2[rho1.index(r)]) for (v, r) in b1} == set(b2)
+def _cells(rho, order, edges):
+    """Index pairs of ``edges`` over the list rho + order."""
+    at = {v: i for i, v in enumerate(list(rho) + list(order))}
+    return {frozenset((at[u], at[v])) for (u, v) in edges}
 
 
-def test_piece_matcher_agrees_with_the_reference_on_which_pieces_match(monkeypatch):
-    # The matcher pairs the two pieces' canonical orders, the reference
-    # places vertices by id, so the two can pick different maps when a
-    # piece has automorphisms (the path 2-1-3-4 against the path 6-7-5-8,
-    # no anchors, is one such pair: the two maps differ by the reversal).
-    # So each map is checked for what makes it a map, and the two must
-    # agree on which pairs of pieces have one: the pairs the solvers
-    # match, and pieces of consecutive calls paired across.
-    calls = []
-    match = common_subgraph._match_piece
+def test_cached_piece_orders_carry_each_piece_into_every_member(monkeypatch):
+    # A cached witness piece is its code and its canonical order, in the
+    # positions of the representative's canonical order.  Read through
+    # any member's canonical order, it must name a piece of that member
+    # with the cached code, listed in an order that reaches the code:
+    # then zipping the orders of two code-equal pieces matches them, and
+    # every mapping the solvers build that way checks.
+    catalogued = {}
+    catalogue = common_subgraph._catalogue
 
-    def recorded(*args):
-        got = match(*args)
-        calls.append((args, got))
-        return got
+    def recorded(t, h, rho, induced_flag):
+        catalogued.setdefault((t.code, induced_flag, tuple(rho), t.orders), (t, h, rho))
+        catalogue(t, h, rho, induced_flag)
 
-    monkeypatch.setattr(common_subgraph, "_match_piece", recorded)
+    monkeypatch.setattr(common_subgraph, "_DECOMP_CACHE", {})
+    monkeypatch.setattr(common_subgraph, "_catalogue", recorded)
     for seed in range(100):
         rng = random.Random(seed)
         g1 = _blocks(rng, rng.randint(1, 3), 3, rng.randint(0, 2))
         g2 = _blocks(rng, rng.randint(1, 3), 3, rng.randint(0, 2))
-        mcs_vi(g1, g2)
-        mcis_vi(g1, g2)
-    for args, got in calls:
-        assert _reference_match_piece(*args) is not None
-        _check_piece_map(got, *args)
-    compared = refused = 0
-    for ((rho1, piece1, _, _), _), ((_, _, rho2, piece2), _) in zip(calls, calls[1:]):
-        if len(rho1) != len(rho2) or len(piece1[0]) != len(piece2[0]):
-            continue
-        args = (rho1, piece1, rho2, piece2)
-        try:
-            got = match(*args)
-        except RuntimeError:
-            got = None
-        assert (got is None) == (_reference_match_piece(*args) is None)
-        if got is None:
-            refused += 1
-        else:
-            _check_piece_map(got, *args)
-            compared += 1
-    assert len(calls) >= 400
-    assert sum(len(args[1][0]) >= 3 for args, _ in calls) >= 10
-    assert sum(len(args[1][0]) >= 2 and bool(args[1][2]) for args, _ in calls) >= 10
-    assert compared >= 100 and refused >= 50
+        for solve, verify in ((mcs_vi, verify_mcs), (mcis_vi, verify_mcis)):
+            val, mapping = solve(g1, g2)
+            assert verify(g1, g2, mapping, val)
+    cache = common_subgraph._DECOMP_CACHE
+    raw, mapped, moved, linked = {}, 0, 0, 0
+    for (code, induced_flag, _, _), (t, h, rho) in catalogued.items():
+        if (code, induced_flag) not in raw:
+            # the first call with a type fills its entry from these pieces
+            at = {v: i for i, v in enumerate(rho + list(t.orders[0]))}
+            found = enumerate_decompositions(h, rho, t.orders[0], induced_mode=induced_flag)
+            raw[(code, induced_flag)] = {
+                t_key: [([at[v] for v in vs], {(at[u], at[v]) for (u, v) in f | b})
+                        for (vs, f, b) in pieces]
+                for t_key, pieces in found.items()}
+        for j, member in enumerate(t.orders):
+            order = rho + list(member)
+            for t_key, pieces in raw[(code, induced_flag)].items():
+                witness = cache[(code, induced_flag)][1][t_key][2]
+                assert len(witness) == len(pieces)
+                for (vs, edges), (pcode, canon) in zip(pieces, witness):
+                    vs = [order[p] for p in vs]
+                    edges = {(order[p], order[q]) for (p, q) in edges}
+                    got_code, want = piece_form(rho, vs, edges)
+                    got = [order[p] for p in canon]
+                    assert got_code == pcode
+                    assert sorted(got) == sorted(vs)
+                    assert _cells(rho, got, edges) == _cells(rho, want, edges)
+                    mapped += 1
+                    moved += j > 0 and len(vs) >= 2
+                    linked += len(vs) >= 2 and any(v in rho or w in rho for (v, w) in edges)
+    assert mapped >= 20000 and moved >= 200 and linked >= 2000, (mapped, moved, linked)
+
+
+def test_swapped_and_self_pairs_past_oracle_reach():
+    # swapping the two graphs keeps both values, a graph against itself
+    # keeps every edge (mcs) and every vertex (mcis), and every mapping
+    # checks
+    rng = random.Random("mcs-swap")
+    for _ in range(20):
+        g1, g2 = (rand_vi_graph(rng, rng.randint(9, 13), rng.randint(2, 3)) for _ in "12")
+        for solve, verify, whole in ((mcs_vi, verify_mcs, lambda g: g.m),
+                                     (mcis_vi, verify_mcis, lambda g: g.n)):
+            val, mapping = solve(g1, g2)
+            assert verify(g1, g2, mapping, val)
+            got, mapping = solve(g2, g1)
+            assert got == val and verify(g2, g1, mapping, got)
+            for g in (g1, g2):
+                got, mapping = solve(g, g)
+                assert got == whole(g) and verify(g, g, mapping, got)
 
 
 def _sides(g1, g2, induced_flag, side_keys=None):

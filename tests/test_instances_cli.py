@@ -400,6 +400,9 @@ class TestCliGenParams:
         assert rec["vi"] == 3 and rec["vc"] == 2
         assert sum(t["count"] for t in rec["types"]) == 2
         assert rec["separator"] is not None
+        assert run(["params", p4, "--max-k", "-1"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert not out and "--max-k" in err
 
     def test_the_empty_graph_has_vi_0_everywhere(self, tmp_path, capsys):
         path = _write(tmp_path, "empty.txt", "p 0 0\n")
